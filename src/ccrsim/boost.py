@@ -12,6 +12,12 @@ unitary directly by the rotation angle, which is how angle sweeps are
 parameterised: a given angle does not pin down a rapidity (with p = m = 1 no
 finite rapidity even reaches angle pi/2), so that route leaves the numeric
 momenta untouched and only retags the mode tokens.
+
+Both routes hand one ``(M, 2, 2)`` stack of D matrices per particle to
+``linalg.apply_controlled``, which contracts each into that particle's
+(momentum, spin) axes of the amplitude tensor; the dense controlled unitary
+is never formed.  ``wigner_angle_stacks`` also builds the stacks for a whole
+(theta, phi) block at once, which is how ``sweep`` evaluates its grid.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ import math
 
 import numpy as np
 
-from .errors import BadPhysicalParams, LabelCollision
-from .linalg import StateVector, apply, kron
+from .errors import BadPhysicalParams
+from .linalg import StateVector, apply_controlled
 from .relativity import (
     BoostSpec,
-    WignerRotation,
     boost_matrix,
     boost_momentum,
+    su2_rotations,
     wigner_rotation,
 )
 from .states import MomentumMode, MultipartiteState, Particle
@@ -39,19 +45,6 @@ BOOST_TAG = "Λ"  # capital lambda
 _GEOMETRY_TOL = 1e-9
 
 
-def _controlled_unitary(per_particle_ops: list[list[np.ndarray]]) -> np.ndarray:
-    blocks = []
-    for ops in per_particle_ops:
-        b = np.zeros((2 * len(ops), 2 * len(ops)), dtype=complex)
-        for i, d in enumerate(ops):
-            b[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = d
-        blocks.append(b)
-    u = blocks[0]
-    for b in blocks[1:]:
-        u = kron(u, b)
-    return u
-
-
 def _retagged(particle: Particle, new_momenta: list | None) -> Particle:
     modes = []
     for i, mode in enumerate(particle.modes):
@@ -60,48 +53,50 @@ def _retagged(particle: Particle, new_momenta: list | None) -> Particle:
     return Particle(tuple(modes))
 
 
+def _boosted(
+    state: MultipartiteState, particles: list[Particle], stacks: list[np.ndarray]
+) -> MultipartiteState:
+    amps = apply_controlled(state.vector, state.dims, stacks)
+    return MultipartiteState(tuple(particles), StateVector(state.dims, amps))
+
+
 def apply_boost(state: MultipartiteState, boost: BoostSpec) -> MultipartiteState:
     """Boost a state physically: new momenta, Wigner-rotated spins.
 
-    Raises LabelCollision if two boosted momenta of one particle land within
-    the mode-separation tolerance of each other.
+    Raises LabelCollision (from the Particle constructor) if two boosted
+    momenta of one particle land within the mode-separation tolerance of
+    each other.
     """
     lam = boost_matrix(boost)
     new_particles = []
-    per_particle_ops = []
+    stacks = []
     for particle in state.particles:
         boosted = [boost_momentum(lam, m.momentum) for m in particle.modes]
-        for i in range(len(boosted)):
-            for j in range(i + 1, len(boosted)):
-                gap = np.max(np.abs(boosted[i].as_array() - boosted[j].as_array()))
-                if gap <= 1e-9:
-                    raise LabelCollision(
-                        f"boost merges modes {particle.modes[i].token!r} and "
-                        f"{particle.modes[j].token!r} (max-norm gap {gap!r})"
-                    )
-        per_particle_ops.append(
-            [wigner_rotation(boost, m.momentum).matrix for m in particle.modes]
-        )
         new_particles.append(_retagged(particle, boosted))
-    u = _controlled_unitary(per_particle_ops)
-    return MultipartiteState(tuple(new_particles), apply(u, state.amplitudes))
+        stacks.append(np.array([wigner_rotation(boost, m.momentum).matrix for m in particle.modes]))
+    return _boosted(state, new_particles, stacks)
 
 
-def boost_by_wigner_angle(
-    state: MultipartiteState, phi: float, direction: np.ndarray
-) -> MultipartiteState:
-    """Boost a state by prescribing the Wigner angle instead of a rapidity.
+def wigner_angle_stacks(
+    particles: tuple[Particle, ...], phi, direction
+) -> list[np.ndarray]:
+    """Per-particle ``(..., M, 2, 2)`` spin rotations for prescribed Wigner angles.
 
-    Every mode must be orthogonal to ``direction`` and share the same energy
-    and mass, so one angle describes all of them; the rotation axis of mode p
-    is then (direction x p_hat) and flips sign with the momentum.  Mode tokens
-    are retagged; the numeric four-momenta are left as they are.
+    ``phi`` of shape (...) and unit boost directions of shape (..., 3)
+    broadcast together, so one call serves a single boost or a whole grid.
+    Every angle must lie in [0, pi/2]; every mode must be off rest,
+    orthogonal to every direction, and on the shell of the first mode, so
+    one angle describes all of them.  The rotation axis of mode p is
+    (direction x p_hat) and flips sign with the momentum.
     """
-    if not math.isfinite(phi) or phi < 0.0 or phi > math.pi / 2.0 + 1e-12:
-        raise BadPhysicalParams(f"wigner angle must lie in [0, pi/2], got {phi!r}")
+    phi = np.asarray(phi, dtype=float)
+    in_range = (phi >= 0.0) & (phi <= math.pi / 2.0 + 1e-12)  # False for NaN
+    if not in_range.all():
+        bad = float(phi[~in_range].flat[0])
+        raise BadPhysicalParams(f"wigner angle must lie in [0, pi/2], got {bad!r}")
     e_hat = np.asarray(direction, dtype=float)
 
-    modes = [m for particle in state.particles for m in particle.modes]
+    modes = [m for particle in particles for m in particle.modes]
     e_ref = modes[0].momentum.e
     m_ref = modes[0].momentum.mass
     for mode in modes:
@@ -109,7 +104,7 @@ def boost_by_wigner_angle(
         p_mag = float(np.linalg.norm(p_vec))
         if p_mag <= 1e-14 * mode.momentum.e:
             raise BadPhysicalParams(f"mode {mode.token!r} is at rest; its angle is fixed at 0")
-        if abs(float(e_hat @ p_vec)) / p_mag > _GEOMETRY_TOL:
+        if float(np.max(np.abs(e_hat @ p_vec))) / p_mag > _GEOMETRY_TOL:
             raise BadPhysicalParams(
                 f"mode {mode.token!r} is not orthogonal to the boost direction"
             )
@@ -120,15 +115,23 @@ def boost_by_wigner_angle(
                 "modes do not share one mass shell; a single wigner angle is ambiguous"
             )
 
-    per_particle_ops = []
-    for particle in state.particles:
-        ops = []
-        for mode in particle.modes:
-            p_vec = mode.momentum.spatial
-            axis = np.cross(e_hat, p_vec / float(np.linalg.norm(p_vec)))
-            axis /= float(np.linalg.norm(axis))
-            ops.append(WignerRotation.from_angle_axis(phi, axis).matrix)
-        per_particle_ops.append(ops)
-    u = _controlled_unitary(per_particle_ops)
-    new_particles = tuple(_retagged(p, None) for p in state.particles)
-    return MultipartiteState(new_particles, apply(u, state.amplitudes))
+    stacks = []
+    for particle in particles:
+        p_vecs = np.array([mode.momentum.spatial for mode in particle.modes])
+        p_hat = p_vecs / np.linalg.norm(p_vecs, axis=-1, keepdims=True)
+        axes = np.cross(e_hat[..., None, :], p_hat)
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        stacks.append(su2_rotations(phi[..., None], axes))
+    return stacks
+
+
+def boost_by_wigner_angle(
+    state: MultipartiteState, phi: float, direction: np.ndarray
+) -> MultipartiteState:
+    """Boost a state by prescribing the Wigner angle instead of a rapidity.
+
+    The geometry requirements are those of ``wigner_angle_stacks``.  Mode
+    tokens are retagged; the numeric four-momenta are left as they are.
+    """
+    stacks = wigner_angle_stacks(state.particles, phi, direction)
+    return _boosted(state, [_retagged(p, None) for p in state.particles], stacks)

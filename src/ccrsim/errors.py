@@ -37,6 +37,10 @@ class BadPhysicalParams(CcrsimError):
     """Physical parameters are invalid (non-timelike momentum, bad magnitude, ...)."""
 
 
+class OracleOutOfDomain(CcrsimError):
+    """The 4x4 Wigner oracle cannot reach its accuracy at these rapidities."""
+
+
 class GlobalStateNotPure(CcrsimError):
     """Complementarity bookkeeping requires a pure global state."""
 

@@ -1,16 +1,19 @@
-"""Dense complex linear algebra for small tensor-product Hilbert spaces.
+"""Dense complex linear algebra on tensor-product Hilbert spaces.
 
-All data lives in plain numpy arrays (complex128, row-major).  The spaces
-handled here are tiny (total dimension <= 16), so clarity wins over
-vectorisation: the partial trace in particular is written as explicit sums
-over kept and traced index tuples instead of reshape tricks, which makes the
-index bookkeeping auditable and mirrors the multi-index sums used by the
-entropy measures.
+All data lives in plain numpy arrays (complex128, row-major).  A state over
+factors ``dims`` is a flat amplitude vector of length prod(dims); the
+routines that act on amplitudes view it as a tensor with one axis per factor
+and work by reshape and einsum, so they cost little Python per call whatever
+the total dimension (the benchmarks run states of up to 256 amplitudes).
+
+``apply_controlled`` and ``reduce_factor`` also accept leading batch
+axes: a whole grid of states, or one state under a grid of operators, goes
+through one call.  The loop form of the partial trace survives in the tests
+as the oracle the einsum form is compared against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,8 +85,7 @@ class StateVector:
 class DensityMatrix:
     """Hermitian, unit-trace matrix over a tensor product of finite factors.
 
-    Construction validates Hermiticity and trace within ``MATRIX_TOL`` and
-    that the purity lies in [1/d, 1] up to a small slack.
+    Construction validates the matrix with ``check_density_matrices``.
     """
 
     dims: tuple[int, ...]
@@ -97,15 +99,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match dims {dims}")
-        _check_finite(m, "density matrix")
-        if np.max(np.abs(m - m.conj().T)) > MATRIX_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > MATRIX_TOL:
-            raise ValueError(f"density matrix trace is {tr!r}, not 1 within {MATRIX_TOL}")
-        pur = float(np.real(np.trace(m @ m)))
-        if pur < 1.0 / d - STATE_NORM_TOL or pur > 1.0 + STATE_NORM_TOL:
-            raise ValueError(f"purity {pur!r} outside [1/{d}, 1]")
+        check_density_matrices(m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -159,22 +153,16 @@ def outer(psi: StateVector) -> DensityMatrix:
     return DensityMatrix(psi.dims, np.outer(v, v.conj()) / n2)
 
 
-def _strides(dims: tuple[int, ...]) -> list[int]:
-    # Row-major: the last factor varies fastest.
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
-
-
 def partial_trace(rho: DensityMatrix, keep: set[int] | frozenset[int]) -> DensityMatrix:
     """Trace out every factor not in ``keep``, preserving factor order.
 
-    Written as explicit sums over kept index pairs and traced index tuples:
+    The matrix is viewed as a tensor with one row and one column axis per
+    factor; each traced factor shares its label between the two, so
 
         out[I, J] = sum_T rho[(I, T), (J, T)]
 
-    where I, J run over the kept multi-indices and T over the traced ones.
+    is a single einsum.  Keeping every factor sums nothing and returns an
+    exact copy.
     """
     keep_list = sorted(keep)
     n = len(rho.dims)
@@ -185,31 +173,95 @@ def partial_trace(rho: DensityMatrix, keep: set[int] | frozenset[int]) -> Densit
     if keep_list[0] < 0 or keep_list[-1] >= n:
         raise BadSubsystemIndex(f"keep-set {keep_list} out of range for {n} factors")
 
-    dims = rho.dims
-    m = rho.matrix
-    strides = _strides(dims)
-    traced = [i for i in range(n) if i not in keep_list]
-    kept_dims = tuple(dims[i] for i in keep_list)
-
-    kept_tuples = list(itertools.product(*(range(dims[i]) for i in keep_list)))
-    traced_offsets = [
-        sum(strides[pos] * t for pos, t in zip(traced, tup))
-        for tup in itertools.product(*(range(dims[i]) for i in traced))
-    ]
-
+    rows = list(range(n))
+    cols = [n + i if i in keep_list else i for i in range(n)]
+    out_axes = keep_list + [n + i for i in keep_list]
+    tensor = rho.matrix.reshape(rho.dims + rho.dims)
+    kept_dims = tuple(rho.dims[i] for i in keep_list)
     d_out = math.prod(kept_dims)
-    out = np.zeros((d_out, d_out), dtype=complex)
-    for row, ktup_i in enumerate(kept_tuples):
-        base_i = sum(strides[pos] * v for pos, v in zip(keep_list, ktup_i))
-        for col, ktup_j in enumerate(kept_tuples):
-            base_j = sum(strides[pos] * v for pos, v in zip(keep_list, ktup_j))
-            acc = 0.0 + 0.0j
-            for off in traced_offsets:
-                acc += m[base_i + off, base_j + off]
-            out[row, col] = acc
+    out = np.einsum(tensor, rows + cols, out_axes).reshape(d_out, d_out)
     return DensityMatrix(kept_dims, out)
 
 
-def purity(rho: DensityMatrix) -> float:
-    """Tr rho^2 as a real number."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+def apply_controlled(
+    amplitudes: np.ndarray, dims: tuple[int, ...], stacks: list[np.ndarray]
+) -> np.ndarray:
+    """Apply a control-indexed unitary to each (control, target) factor pair.
+
+    Factors pair up as (2k, 2k + 1).  ``stacks[k]`` has shape
+    ``(..., dims[2k], dims[2k + 1], dims[2k + 1])``: entry ``[..., c]`` is the
+    unitary that acts on target factor 2k + 1 when control factor 2k is in
+    basis state c, which is a block-diagonal controlled unitary applied
+    without building it.  ``amplitudes`` has shape ``(..., prod(dims))``; the
+    leading batch axes of the state and of every stack broadcast together.
+
+    Raises NormNotPreserved if any output norm deviates from 1 beyond
+    ``STATE_NORM_TOL``; otherwise the tiny float drift is renormalised away.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    n = len(dims)
+    if n != 2 * len(stacks) or amplitudes.shape[-1:] != (math.prod(dims),):
+        raise DimensionMismatch(
+            f"{len(stacks)} control pairs and amplitudes {amplitudes.shape} "
+            f"do not fit factor dims {dims}"
+        )
+    psi = amplitudes.reshape(amplitudes.shape[:-1] + tuple(dims))
+    axes = list(range(n))
+    for k, stack in enumerate(stacks):
+        control, target = 2 * k, 2 * k + 1
+        if stack.shape[-3:] != (dims[control], dims[target], dims[target]):
+            raise DimensionMismatch(
+                f"stack {k} has shape {stack.shape}, factor pair needs "
+                f"(..., {dims[control]}, {dims[target]}, {dims[target]})"
+            )
+        out_axes = axes[:target] + [n] + axes[target + 1 :]
+        psi = np.einsum(stack, [..., control, n, target], psi, [..., *axes], [..., *out_axes])
+    out = psi.reshape(psi.shape[: psi.ndim - n] + (-1,))
+    norm = np.sqrt(_norm_sq(out))
+    worst = float(np.abs(norm - 1.0).max())
+    if not worst <= STATE_NORM_TOL:  # also catches NaN
+        raise NormNotPreserved(f"output norm deviates from 1 by {worst!r}, beyond {STATE_NORM_TOL}")
+    return out / norm[..., None]
+
+
+def reduce_factor(amplitudes: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
+    """Reduced matrix of factor ``k`` of pure states, straight from amplitudes.
+
+    ``amplitudes`` has shape ``(..., prod(dims))``.  Viewed as
+    ``(..., before, d_k, after)``, rho_ij = sum_xy a_xiy conj(a_xjy), so no
+    global projector is formed.  The result has shape ``(..., d_k, d_k)``
+    and is not divided by the squared norm.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    a = amplitudes.reshape(amplitudes.shape[:-1] + (math.prod(dims[:k]), dims[k], -1))
+    return np.einsum("...xiy,...xjy->...ij", a, a.conj())
+
+
+def _norm_sq(amplitudes: np.ndarray) -> np.ndarray:
+    # Squared 2-norm over the last axis, kept real.
+    return np.sum(amplitudes.real**2 + amplitudes.imag**2, axis=-1)
+
+
+def check_density_matrices(m: np.ndarray) -> None:
+    """Validate a ``(..., d, d)`` stack of density matrices in one pass.
+
+    Every matrix must be finite, Hermitian and of unit trace within
+    ``MATRIX_TOL``, with purity in [1/d, 1] up to a small slack.
+    """
+    d = m.shape[-1]
+    _check_finite(m, "density matrix")
+    if np.abs(m - np.swapaxes(m, -1, -2).conj()).max() > MATRIX_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    worst = np.abs(m.trace(axis1=-2, axis2=-1) - 1.0).max()
+    if worst > MATRIX_TOL:
+        raise ValueError(f"density matrix trace deviates from 1 by {worst!r}, beyond {MATRIX_TOL}")
+    pur = np.asarray(purity(m))
+    if pur.min() < 1.0 / d - STATE_NORM_TOL or pur.max() > 1.0 + STATE_NORM_TOL:
+        raise ValueError(f"purity outside [1/{d}, 1]: {pur.min()!r} to {pur.max()!r}")
+
+
+def purity(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
+    """Tr rho^2 as a real number, or an array of them for a ``(..., d, d)`` stack."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    pur = np.einsum("...ij,...ji->...", m, m).real
+    return float(pur) if pur.ndim == 0 else pur

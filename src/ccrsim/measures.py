@@ -39,7 +39,14 @@ from .errors import (
     GlobalStateNotPure,
     NotXShaped,
 )
-from .linalg import DensityMatrix, StateVector, outer, partial_trace, purity
+from .linalg import (
+    DensityMatrix,
+    StateVector,
+    _norm_sq,
+    check_density_matrices,
+    purity,
+    reduce_factor,
+)
 from .states import MultipartiteState
 
 # |norm^2 - 1| beyond this means the global state cannot be treated as pure.
@@ -52,12 +59,27 @@ def _as_state_vector(state: MultipartiteState | StateVector) -> StateVector:
     return state.amplitudes if isinstance(state, MultipartiteState) else state
 
 
-def _checked_pure(state: MultipartiteState | StateVector) -> StateVector:
-    sv = _as_state_vector(state)
-    norm_sq = float(np.real(np.vdot(sv.amplitudes, sv.amplitudes)))
-    if abs(norm_sq - 1.0) > PURITY_TOL:
-        raise GlobalStateNotPure(f"squared norm {norm_sq!r} deviates from 1")
-    return sv
+def _reduced(amplitudes: np.ndarray, dims: tuple[int, ...], subsystem: int) -> np.ndarray:
+    """Unit-trace reduced matrices of one factor of pure states, ``(..., d, d)``.
+
+    Raises GlobalStateNotPure when a squared norm is off 1 by more than
+    ``PURITY_TOL``; within that band the reduction is divided by it.
+    """
+    if not 0 <= subsystem < len(dims):
+        raise BadSubsystemIndex(f"subsystem {subsystem} out of range for {len(dims)} factors")
+    norm_sq = _norm_sq(amplitudes)
+    worst = float(np.abs(norm_sq - 1.0).max())
+    if not worst <= PURITY_TOL:  # also catches NaN
+        raise GlobalStateNotPure(f"squared norm deviates from 1 by {worst!r}")
+    return reduce_factor(amplitudes, dims, subsystem) / norm_sq[..., None, None]
+
+
+def _matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    return rho.matrix if isinstance(rho, DensityMatrix) else rho
+
+
+def _value(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -75,37 +97,64 @@ class ComplementarityTriple:
         return self.predictability + self.coherence + self.entropy
 
 
-def predictability_l(rho: DensityMatrix) -> float:
+# The three measures take one DensityMatrix and return a float, or a validated
+# (..., d, d) stack of matrices and return an array over its leading axes.
+
+
+def predictability_l(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """P_l = sum_i rho_ii^2 - 1/d."""
-    diag = np.real(np.diag(rho.matrix))
-    return float(np.sum(diag * diag)) - 1.0 / rho.dim
+    m = _matrix(rho)
+    diag = np.real(np.diagonal(m, axis1=-2, axis2=-1))
+    return _value(np.sum(diag * diag, axis=-1) - 1.0 / m.shape[-1])
 
 
-def coherence_hs(rho: DensityMatrix) -> float:
+def coherence_hs(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """C_hs = sum over off-diagonal entries of |rho_ij|^2."""
-    m = rho.matrix
-    off = np.abs(m) ** 2
-    return float(np.sum(off) - np.sum(np.diag(off)))
+    off = np.abs(_matrix(rho)) ** 2
+    return _value(np.sum(off, axis=(-2, -1)) - np.trace(off, axis1=-2, axis2=-1))
 
 
-def linear_entropy(rho: DensityMatrix) -> float:
+def linear_entropy(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """S_l = 1 - Tr rho^2."""
     return 1.0 - purity(rho)
 
 
-def ccr(state: MultipartiteState | StateVector, subsystem: int) -> ComplementarityTriple:
-    """Complementarity triple of one single-factor subsystem of a pure state."""
-    sv = _checked_pure(state)
-    n = len(sv.dims)
-    if not 0 <= subsystem < n:
-        raise BadSubsystemIndex(f"subsystem {subsystem} out of range for {n} factors")
-    rho = partial_trace(outer(sv), {subsystem})
+def _triple(rho: DensityMatrix | np.ndarray) -> tuple:
+    # The measures are looked up as module globals on every call, so one
+    # replaced at run time reaches ccr and ccr_arrays alike.
     p = predictability_l(rho)
     c = coherence_hs(rho)
     s = linear_entropy(rho)
-    d = rho.dim
-    residual = abs(p + c + s - (d - 1.0) / d)
-    return ComplementarityTriple(p, c, s, d, residual)
+    d = _matrix(rho).shape[-1]
+    return p, c, s, abs(p + c + s - (d - 1.0) / d)
+
+
+def _factor_rho(state: MultipartiteState | StateVector, subsystem: int) -> DensityMatrix:
+    sv = _as_state_vector(state)
+    rho = _reduced(sv.amplitudes, sv.dims, subsystem)
+    return DensityMatrix((sv.dims[subsystem],), rho)
+
+
+def ccr(state: MultipartiteState | StateVector, subsystem: int) -> ComplementarityTriple:
+    """Complementarity triple of one single-factor subsystem of a pure state."""
+    rho = _factor_rho(state, subsystem)
+    p, c, s, residual = _triple(rho)
+    return ComplementarityTriple(p, c, s, rho.dim, residual)
+
+
+def ccr_arrays(
+    amplitudes: np.ndarray, dims: tuple[int, ...], subsystem: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(P, C, S, residual) of one factor over a batch of pure states.
+
+    ``amplitudes`` has shape ``(..., prod(dims))``; each result has the
+    leading shape.  The checks are those of ``ccr``, on whole arrays: every
+    squared norm within ``PURITY_TOL`` of 1, and every reduced matrix a
+    valid density matrix.
+    """
+    rho = _reduced(amplitudes, dims, subsystem)
+    check_density_matrices(rho)
+    return _triple(rho)
 
 
 def _strides(dims: tuple[int, ...]) -> list[int]:
@@ -157,8 +206,7 @@ def linear_entropy_multiindex(state: MultipartiteState | StateVector, subsystem:
 
 def concurrence_pure(state: MultipartiteState | StateVector, subsystem: int) -> float:
     """E = sqrt(2 S_l) for the cut (subsystem | rest) of a pure global state."""
-    sv = _checked_pure(state)
-    s = linear_entropy(partial_trace(outer(sv), {subsystem}))
+    s = linear_entropy(_factor_rho(state, subsystem))
     return math.sqrt(max(0.0, 2.0 * s))
 
 

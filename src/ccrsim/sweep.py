@@ -28,14 +28,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .boost import boost_by_wigner_angle
+from .boost import wigner_angle_stacks
 from .errors import ConfigError
-from .measures import ccr
+from .linalg import apply_controlled
+from .measures import ccr_arrays
 from .states import DOFS, ScenarioId, boost_direction, make_scenario
 
 CSV_COLUMNS = ("scenario", "theta", "phi", "particle", "dof", "P", "C", "S", "sum", "residual")
 
 _CONFIG_KEYS = ("scenario", "theta", "phi", "subsystems", "out", "p_mag", "mass")
+
+# Most amplitudes one block of theta rows may hold.  A block is boosted and
+# reduced in one batched call, so this bounds the memory a sweep needs
+# whatever its grid; a 33 x 65 four-qubit grid (34,320 amplitudes) is one block.
+BLOCK_AMPLITUDES = 1 << 16
 
 
 def fmt_float(x: float) -> str:
@@ -246,35 +252,50 @@ def build_config(
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the grid; rows ordered (theta asc, phi asc, subsystem asc)."""
+    """Evaluate the grid; rows ordered (theta asc, phi asc, subsystem asc).
+
+    Whole blocks of theta rows go through the batched routes of
+    ``boost_by_wigner_angle`` and ``ccr`` at once, with the same checks.
+    """
     base = make_scenario(config.scenario, config.p_mag, config.mass)
     if config.subsystems is None:
         chosen = [(p, dof, idx) for (p, dof, idx) in base.single_dof_subsystems()]
     else:
         chosen = sorted(
-            (p, dof, base.subsystem_index(p, dof)) for (p, dof) in config.subsystems
+            ((p, dof, base.subsystem_index(p, dof)) for (p, dof) in config.subsystems),
+            key=lambda t: t[2],
         )
+    scenario = config.scenario.value
+    thetas = sorted(config.theta_values)
+    phis = sorted(config.phi_values)
+    rows_per_block = max(1, BLOCK_AMPLITUDES // (len(phis) * base.amplitudes.dim))
     records = []
-    for theta in sorted(config.theta_values):
-        e_hat = boost_direction(theta)
-        for phi in sorted(config.phi_values):
-            boosted = boost_by_wigner_angle(base, phi, e_hat)
-            for particle, dof, idx in sorted(chosen, key=lambda t: t[2]):
-                triple = ccr(boosted, idx)
-                records.append(
-                    SweepRecord(
-                        scenario=config.scenario.value,
-                        theta=theta,
-                        phi=phi,
-                        particle=particle,
-                        dof=dof,
-                        predictability=triple.predictability,
-                        coherence=triple.coherence,
-                        entropy=triple.entropy,
-                        total=triple.total,
-                        residual=triple.residual,
+    for start in range(0, len(thetas), rows_per_block):
+        block = thetas[start : start + rows_per_block]
+        directions = np.array([boost_direction(theta) for theta in block])
+        stacks = wigner_angle_stacks(base.particles, np.array(phis), directions[:, None, :])
+        amps = apply_controlled(base.vector, base.dims, stacks)
+        columns = [
+            (particle, dof, [a.tolist() for a in ccr_arrays(amps, base.dims, idx)])
+            for particle, dof, idx in chosen
+        ]
+        for i, theta in enumerate(block):
+            for j, phi in enumerate(phis):
+                for particle, dof, (p, c, s, residual) in columns:
+                    records.append(
+                        SweepRecord(
+                            scenario=scenario,
+                            theta=theta,
+                            phi=phi,
+                            particle=particle,
+                            dof=dof,
+                            predictability=p[i][j],
+                            coherence=c[i][j],
+                            entropy=s[i][j],
+                            total=p[i][j] + c[i][j] + s[i][j],
+                            residual=residual[i][j],
+                        )
                     )
-                )
     return records
 
 

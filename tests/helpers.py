@@ -10,6 +10,7 @@ momentum factor ordered (+p y-hat, -p y-hat) and a spin-1/2 factor, with the
 tensor order (momentum_A, spin_A, momentum_B, spin_B).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -196,6 +197,55 @@ def kron_brute(a, b):
                 for m in range(cb):
                     out[i * rb + k, j * cb + m] = a[i, j] * b[k, m]
     return out
+
+
+def partial_trace_loop(matrix, dims, keep):
+    """Partial trace written as explicit sums over kept and traced index tuples.
+
+        out[I, J] = sum_T rho[(I, T), (J, T)]
+
+    with I, J over the kept multi-indices and T over the traced ones, in
+    row-major order (the last factor varies fastest).  Returns the reduced
+    matrix over the kept factors in their original order.
+    """
+    dims = tuple(dims)
+    keep_list = sorted(keep)
+    n = len(dims)
+    strides = [1] * n
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * dims[i + 1]
+    traced = [i for i in range(n) if i not in keep_list]
+    kept_tuples = list(itertools.product(*(range(dims[i]) for i in keep_list)))
+    traced_offsets = [
+        sum(strides[pos] * t for pos, t in zip(traced, tup))
+        for tup in itertools.product(*(range(dims[i]) for i in traced))
+    ]
+    out = np.zeros((len(kept_tuples), len(kept_tuples)), dtype=complex)
+    for row, ktup_i in enumerate(kept_tuples):
+        base_i = sum(strides[pos] * v for pos, v in zip(keep_list, ktup_i))
+        for col, ktup_j in enumerate(kept_tuples):
+            base_j = sum(strides[pos] * v for pos, v in zip(keep_list, ktup_j))
+            acc = 0.0 + 0.0j
+            for off in traced_offsets:
+                acc += matrix[base_i + off, base_j + off]
+            out[row, col] = acc
+    return out
+
+
+def controlled_unitary_dense(stacks):
+    """Dense block-diagonal controlled unitary of per-pair (M, t, t) stacks.
+
+    Block c of pair k is stacks[k][c]; the pairs combine by Kronecker
+    product in factor order.
+    """
+    u = np.ones((1, 1), dtype=complex)
+    for stack in stacks:
+        m, t, _ = stack.shape
+        block = np.zeros((m * t, m * t), dtype=complex)
+        for c in range(m):
+            block[c * t : (c + 1) * t, c * t : (c + 1) * t] = stack[c]
+        u = kron_brute(u, block)
+    return u
 
 
 def same_up_to_global_phase(u, v, tol=1e-10):

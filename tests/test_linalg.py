@@ -21,9 +21,17 @@ from ccrsim import (
     partial_trace,
     purity,
 )
-from ccrsim.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from ccrsim.linalg import (
+    I2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    apply_controlled,
+    check_density_matrices,
+    reduce_factor,
+)
 
-from helpers import kron_brute
+from helpers import controlled_unitary_dense, kron_brute, partial_trace_loop
 
 RNG = np.random.default_rng(20260815)
 
@@ -221,6 +229,93 @@ def test_partial_trace_rejects_bad_keep_sets():
         partial_trace(rho, {2})
     with pytest.raises(BadSubsystemIndex):
         partial_trace(rho, {-1})
+
+
+@pytest.mark.parametrize("n_factors", [2, 3, 4])
+def test_partial_trace_matches_loop_oracle(n_factors):
+    for _ in range(3):
+        dims = tuple(int(d) for d in RNG.choice([2, 3, 4], size=n_factors))
+        rho = outer(random_state(dims))
+        for r in range(1, n_factors + 1):
+            for keep in itertools.combinations(range(n_factors), r):
+                red = partial_trace(rho, set(keep))
+                oracle = partial_trace_loop(rho.matrix, dims, keep)
+                assert red.dims == tuple(dims[i] for i in keep)
+                if r == n_factors:
+                    assert np.array_equal(red.matrix, oracle)
+                else:
+                    np.testing.assert_allclose(red.matrix, oracle, rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# batched contraction and reduction
+# ---------------------------------------------------------------------------
+
+
+def random_unitary(n):
+    q, r = np.linalg.qr(random_matrix(n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_apply_controlled_matches_dense_controlled_unitary():
+    for dims in ((2, 2), (3, 2, 2, 2), (2, 3, 4, 2)):
+        psi = random_state(dims)
+        stacks = [
+            np.array([random_unitary(dims[2 * k + 1]) for _ in range(dims[2 * k])])
+            for k in range(len(dims) // 2)
+        ]
+        out = apply_controlled(psi.amplitudes, dims, stacks)
+        expected = controlled_unitary_dense(stacks) @ psi.amplitudes
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+
+
+def test_apply_controlled_broadcasts_batch_axes():
+    dims = (2, 2, 3, 2)
+    psi = random_state(dims)
+    stacks = [
+        np.array([[[random_unitary(2) for _ in range(m)] for _ in range(4)] for _ in range(3)])
+        for m in (2, 3)
+    ]
+    out = apply_controlled(psi.amplitudes, dims, stacks)
+    assert out.shape == (3, 4, 24)
+    for i in range(3):
+        for j in range(4):
+            one = apply_controlled(psi.amplitudes, dims, [s[i, j] for s in stacks])
+            np.testing.assert_allclose(out[i, j], one, rtol=0, atol=1e-15)
+
+
+def test_apply_controlled_rejects_norm_change_anywhere_in_batch():
+    psi = random_state((2, 2))
+    stack = np.array([[I2, I2], [I2, 1.01 * I2]])
+    with pytest.raises(NormNotPreserved):
+        apply_controlled(psi.amplitudes, (2, 2), [stack])
+    with pytest.raises(NormNotPreserved):
+        apply_controlled(psi.amplitudes, (2, 2), [np.array([I2, np.full((2, 2), np.nan)])])
+    with pytest.raises(DimensionMismatch):
+        apply_controlled(psi.amplitudes, (2, 2), [np.array([I2, I2, I2])])
+
+
+def test_reduce_factor_matches_partial_trace_over_batches():
+    dims = (2, 3, 4)
+    states = [random_state(dims) for _ in range(6)]
+    batch = np.array([s.amplitudes for s in states]).reshape(2, 3, 24)
+    for k in range(3):
+        reduced = reduce_factor(batch, dims, k)
+        assert reduced.shape == (2, 3, dims[k], dims[k])
+        for n, s in enumerate(states):
+            expected = partial_trace(outer(s), {k}).matrix
+            np.testing.assert_allclose(reduced[n // 3, n % 3], expected, rtol=0, atol=1e-14)
+
+
+def test_check_density_matrices_flags_one_bad_matrix_in_a_stack():
+    good = np.eye(2) / 2.0
+    check_density_matrices(np.array([good, good]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_density_matrices(np.array([good, good + np.array([[0, 1e-6], [0, 0]])]))
+    with pytest.raises(ValueError, match="trace"):
+        check_density_matrices(np.array([good, 1.1 * good]))
+    with pytest.raises(ValueError, match="purity"):
+        check_density_matrices(np.array([good, np.array([[1.5, 0], [0, -0.5]])]))
 
 
 def test_purity_values():

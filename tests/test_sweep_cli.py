@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from ccrsim import ConfigError, ScenarioId, ccr, make_scenario
-from ccrsim import cli
+from ccrsim import (
+    ConfigError,
+    ScenarioId,
+    boost_by_wigner_angle,
+    boost_direction,
+    ccr,
+    make_scenario,
+)
+from ccrsim import cli, sweep
 from ccrsim.checks import run_all_checks
 from ccrsim.sweep import (
     CSV_COLUMNS,
@@ -174,6 +181,58 @@ def test_run_sweep_values_match_direct_evaluation():
     assert abs(record.residual - triple.residual) < 1e-15
 
 
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_run_sweep_matches_per_state_route(scenario):
+    # The batched grid must reproduce boost_by_wigner_angle + ccr row by row,
+    # including the grid edges and a non-default momentum shell.
+    rng = np.random.default_rng(list(ScenarioId).index(scenario))
+    thetas = (HALF_PI, 0.0) + tuple(float(x) for x in rng.uniform(0.0, HALF_PI, 3))
+    phis = (0.0, HALF_PI) + tuple(float(x) for x in rng.uniform(0.0, HALF_PI, 4))
+    p_mag, mass = (float(x) for x in rng.uniform(0.5, 2.0, 2))
+    config = SweepConfig(
+        scenario=scenario, theta_values=thetas, phi_values=phis, p_mag=p_mag, mass=mass
+    )
+    records = run_sweep(config)
+    base = make_scenario(scenario, p_mag, mass)
+    expected = []
+    for theta in sorted(thetas):
+        for phi in sorted(phis):
+            boosted = boost_by_wigner_angle(base, phi, boost_direction(theta))
+            for particle, dof, idx in base.single_dof_subsystems():
+                expected.append((theta, phi, particle, dof, ccr(boosted, idx)))
+    assert len(records) == len(expected)
+    for record, (theta, phi, particle, dof, triple) in zip(records, expected):
+        assert (record.scenario, record.theta, record.phi, record.particle, record.dof) == (
+            scenario.value,
+            theta,
+            phi,
+            particle,
+            dof,
+        )
+        for got, want in (
+            (record.predictability, triple.predictability),
+            (record.coherence, triple.coherence),
+            (record.entropy, triple.entropy),
+            (record.total, triple.total),
+            (record.residual, triple.residual),
+        ):
+            assert abs(got - want) < 1e-15
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_run_sweep_block_boundaries_leave_csv_unchanged(monkeypatch, tmp_path, rows_per_block):
+    config = SweepConfig(
+        scenario=ScenarioId.UPSILON,
+        theta_values=tuple(float(x) for x in np.linspace(0.0, HALF_PI, 7)),
+        phi_values=tuple(float(x) for x in np.linspace(0.0, HALF_PI, 9)),
+    )
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    write_csv(run_sweep(config), whole)
+    monkeypatch.setattr(sweep, "BLOCK_AMPLITUDES", rows_per_block * 9 * 16)
+    write_csv(run_sweep(config), blocked)
+    assert whole.read_bytes() == blocked.read_bytes()
+
+
 def test_write_csv_layout_and_determinism(tmp_path):
     config = SweepConfig(
         scenario=ScenarioId.XI, theta_values=(0.0, 0.3), phi_values=(0.0, 0.2)
@@ -269,6 +328,14 @@ def test_cli_wigner_routes_agree(capsys):
     assert "omega=0.69314718056" in out  # rapidity ln 2
     (diff_line,) = [l for l in out.splitlines() if l.startswith("|difference|")]
     assert float(diff_line.split("=")[1]) < 1e-9
+
+
+def test_cli_wigner_refuses_rapidities_outside_oracle_domain(capsys):
+    rc = cli.main(["wigner", "--omega", "30"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "4x4 oracle" in captured.err
 
 
 def test_cli_wigner_rejects_bad_velocity(capsys):

@@ -30,10 +30,10 @@ from .errors import BadPhysicalParams
 from .linalg import StateVector, apply_controlled
 from .relativity import (
     BoostSpec,
+    _wigner_angle_axis,
     boost_matrix,
     boost_momentum,
     su2_rotations,
-    wigner_rotation,
 )
 from .states import MomentumMode, MultipartiteState, Particle
 
@@ -71,9 +71,10 @@ def apply_boost(state: MultipartiteState, boost: BoostSpec) -> MultipartiteState
     new_particles = []
     stacks = []
     for particle in state.particles:
-        boosted = [boost_momentum(lam, m.momentum) for m in particle.modes]
-        new_particles.append(_retagged(particle, boosted))
-        stacks.append(np.array([wigner_rotation(boost, m.momentum).matrix for m in particle.modes]))
+        momenta = [m.momentum for m in particle.modes]
+        new_particles.append(_retagged(particle, [boost_momentum(lam, p) for p in momenta]))
+        angles, axes = zip(*(_wigner_angle_axis(boost, p) for p in momenta))
+        stacks.append(su2_rotations(np.array(angles), np.array(axes)))
     return _boosted(state, new_particles, stacks)
 
 

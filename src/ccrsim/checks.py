@@ -16,24 +16,25 @@ import numpy as np
 from . import measures
 from .boost import apply_boost, boost_by_wigner_angle
 from .linalg import StateVector, kron, outer, partial_trace, purity
-from .measures import ccr, coherence_hs, concurrence_momentum_x, linear_entropy
+from .measures import ccr, concurrence_momentum_x, linear_entropy
 from .relativity import (
     METRIC,
     BoostSpec,
     FourMomentum,
     boost_matrix,
-    momentum_rapidity,
     rotation_angle,
     wigner_oracle,
     wigner_rotation,
 )
 from .states import (
+    SPIN,
     ScenarioId,
     boost_direction,
     make_product_state,
     make_scenario,
     reduced_density_matrix,
 )
+from .sweep import SweepConfig, SweepRecord, run_sweep
 
 DEFAULT_SEED = 1905
 
@@ -246,51 +247,40 @@ def _check_scenario_preboost_marginals() -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# measures suites (share one sweep-grid evaluation)
+# measures suites (share the sweep rows of the check grid)
 
 
-@dataclass(frozen=True)
-class _GridRow:
-    scenario: str
-    theta: float
-    phi: float
-    subsystem: int
-    pre: measures.ComplementarityTriple
-    post: measures.ComplementarityTriple
+_Grid = list[tuple[measures.ComplementarityTriple, SweepRecord]]
 
 
-def _complementarity_grid() -> list[_GridRow]:
+def _complementarity_grid() -> _Grid:
+    """Every ``run_sweep`` row of the check grid, paired with its pre-boost triple."""
     rows = []
     for sid in ScenarioId:
         base = make_scenario(sid)
-        subs = [idx for _, _, idx in base.single_dof_subsystems()]
-        pre = {idx: ccr(base, idx) for idx in subs}
-        for theta in GRID_THETA:
-            e_hat = boost_direction(theta)
-            for phi in GRID_PHI:
-                boosted = boost_by_wigner_angle(base, phi, e_hat)
-                for idx in subs:
-                    rows.append(_GridRow(sid.value, theta, phi, idx, pre[idx], ccr(boosted, idx)))
+        pre = {(p, dof): ccr(base, idx) for p, dof, idx in base.single_dof_subsystems()}
+        for record in run_sweep(SweepConfig(sid, GRID_THETA, GRID_PHI)):
+            rows.append((pre[record.particle, record.dof], record))
     return rows
 
 
-def _check_ccr_identity(grid: list[_GridRow]) -> SuiteResult:
+def _check_ccr_identity(grid: _Grid) -> SuiteResult:
     dev = 0.0
-    for row in grid:
-        dev = max(dev, row.pre.residual, row.post.residual)
+    for pre, post in grid:
+        dev = max(dev, pre.residual, post.residual)
     return _result("ccr-identity-grid", dev, 1e-10)
 
 
-def _check_ccr_invariance(grid: list[_GridRow]) -> SuiteResult:
+def _check_ccr_invariance(grid: _Grid) -> SuiteResult:
     dev = 0.0
     witness: dict[str, float] = {}
-    for row in grid:
-        dev = max(dev, abs(row.post.total - row.pre.total))
+    for pre, post in grid:
+        dev = max(dev, abs(post.total - pre.total))
         shift = max(
-            abs(row.post.predictability - row.pre.predictability),
-            abs(row.post.coherence - row.pre.coherence),
+            abs(post.predictability - pre.predictability),
+            abs(post.coherence - pre.coherence),
         )
-        witness[row.scenario] = max(witness.get(row.scenario, 0.0), shift)
+        witness[post.scenario] = max(witness.get(post.scenario, 0.0), shift)
     missing = [s for s, shift in witness.items() if shift <= 0.1]
     detail = "each scenario must move P or C by > 0.1 somewhere on the grid"
     if missing:
@@ -298,11 +288,11 @@ def _check_ccr_invariance(grid: list[_GridRow]) -> SuiteResult:
     return _result("ccr-invariance", dev, 1e-10, detail)
 
 
-def _check_measure_ranges(grid: list[_GridRow]) -> SuiteResult:
+def _check_measure_ranges(grid: _Grid) -> SuiteResult:
     dev = 0.0
-    for row in grid:
-        for t in (row.pre, row.post):
-            top = (t.d - 1.0) / t.d
+    for pre, post in grid:
+        top = (pre.d - 1.0) / pre.d
+        for t in (pre, post):
             for v in (t.predictability, t.coherence, t.entropy):
                 dev = max(dev, -v, v - top)
     return _result("measure-ranges", max(0.0, dev), 1e-12)
@@ -347,13 +337,14 @@ def _check_xi2_concurrence_monotonic() -> SuiteResult:
     return _result("xi2-concurrence-monotonic", dev, 1e-12, "E must not increase with phi")
 
 
-def _check_upsilon_coherence_growth() -> SuiteResult:
-    base = make_scenario(ScenarioId.UPSILON)
-    e_hat = boost_direction(math.pi / 2)
-    values = []
-    for phi in GRID_PHI:
-        boosted = boost_by_wigner_angle(base, phi, e_hat)
-        values.append(coherence_hs(reduced_density_matrix(boosted, {1})))
+def _check_upsilon_coherence_growth(grid: _Grid) -> SuiteResult:
+    values = [
+        post.coherence
+        for _, post in grid
+        if post.scenario == ScenarioId.UPSILON.value
+        and post.theta == math.pi / 2
+        and (post.particle, post.dof) == (0, SPIN)
+    ]
     dev = max(0.0, max(a - b for a, b in zip(values, values[1:])))
     dev = max(dev, abs(values[-1] - 0.5))
     return _result("upsilon-coherence-growth", dev, 1e-12, "C must reach 1/2 at phi = pi/2")
@@ -383,5 +374,5 @@ def run_all_checks(seed: int = DEFAULT_SEED) -> list[SuiteResult]:
         _check_entropy_multiindex(rng),
         _check_xi2_momentum_marginal(),
         _check_xi2_concurrence_monotonic(),
-        _check_upsilon_coherence_growth(),
+        _check_upsilon_coherence_growth(grid),
     ]

@@ -3,7 +3,7 @@
 For the reduced state rho of a single d-dimensional degree of freedom inside
 a pure global state, the three quantifiers
 
-    P_l = sum_i rho_ii^2 - 1/d          (predictability)
+    P_l = sum_i (rho_ii - 1/d)^2        (predictability)
     C_hs = sum_{i != j} |rho_ij|^2      (Hilbert-Schmidt coherence)
     S_l = 1 - Tr rho^2                  (linear entropy)
 
@@ -102,10 +102,10 @@ class ComplementarityTriple:
 
 
 def predictability_l(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
-    """P_l = sum_i rho_ii^2 - 1/d."""
+    """P_l = sum_i (rho_ii - 1/d)^2, which is sum_i rho_ii^2 - 1/d at unit trace."""
     m = _matrix(rho)
-    diag = np.real(np.diagonal(m, axis1=-2, axis2=-1))
-    return _value(np.sum(diag * diag, axis=-1) - 1.0 / m.shape[-1])
+    dev = np.real(np.diagonal(m, axis1=-2, axis2=-1)) - 1.0 / m.shape[-1]
+    return _value(np.sum(dev * dev, axis=-1))
 
 
 def coherence_hs(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:

@@ -8,14 +8,14 @@ Conventions: natural units (c = 1), metric diag(-1, 1, 1, 1), index order
 
 so it maps the rest momentum k = (m, 0, 0, 0) to (m cosh w, m sinh w * e).
 
-For a boost B(w, e) acting on a particle of momentum rapidity a = acosh(E/m)
+For a boost B(w, e) acting on a particle of momentum rapidity a = asinh(|p|/m)
 along p_hat, the induced little-group (Wigner) rotation on the spin is, in
 half-angle form,
 
-    cos(f/2)         = [cosh(w/2) cosh(a/2) + sinh(w/2) sinh(a/2) (e . p_hat)] / N
-    sin(f/2) * n_hat = sinh(w/2) sinh(a/2) (e x p_hat) / N
-    N                = sqrt((1 + cosh w cosh a + sinh w sinh a (e . p_hat)) / 2)
+    cos(f/2)         ~ cosh(w/2) cosh(a/2) + sinh(w/2) sinh(a/2) (e . p_hat)
+    sin(f/2) * n_hat ~ sinh(w/2) sinh(a/2) (e x p_hat)
 
+up to one common positive factor, so f/2 is the atan2 of the pair.  It is
 represented on spin-1/2 as D = cos(f/2) I + i sin(f/2) (sigma . n_hat).
 When e is perpendicular to p_hat the rotation angle reduces to
 
@@ -29,12 +29,12 @@ of D, so both routes must report the same angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadPhysicalParams, OracleOutOfDomain, VelocityOutOfRange
-from .linalg import I2, MATRIX_TOL, PAULI
+from .linalg import I2, MATRIX_TOL
 
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -63,6 +63,14 @@ def _unit3(v, what: str) -> np.ndarray:
         raise BadPhysicalParams(f"{what} must be a unit vector, |v| = {np.linalg.norm(a)!r}")
     a.setflags(write=False)
     return a
+
+
+def _square_terms(x: float) -> tuple[float, float, float]:
+    # x * x as three float64 terms that sum to it exactly (Veltkamp split).
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    lo = x - hi
+    return hi * hi, 2.0 * hi * lo, lo * lo
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,10 @@ class FourMomentum:
 
     @property
     def mass_sq(self) -> float:
-        return self.e**2 - (self.px**2 + self.py**2 + self.pz**2)
+        # Exact squares, one rounding: e^2 - p^2 cancels almost every digit
+        # when |p| >> m, and the Wigner angle can depend on all that remain.
+        p_terms = [-t for c in (self.px, self.py, self.pz) for t in _square_terms(c)]
+        return math.fsum((*_square_terms(self.e), *p_terms))
 
     @property
     def mass(self) -> float:
@@ -144,8 +155,12 @@ def rapidity_from_velocity(v: float) -> float:
 
 
 def momentum_rapidity(p: FourMomentum) -> float:
-    """a = acosh(E/m); zero for a particle at rest."""
-    return math.acosh(max(1.0, p.e / p.mass))
+    """a = asinh(|p|/m); zero for a particle at rest.
+
+    The same quantity as acosh(E/m), without the loss of half the digits
+    that acosh suffers when E/m is close to 1.
+    """
+    return math.asinh(math.hypot(p.px, p.py, p.pz) / p.mass)
 
 
 def wigner_angle(omega: float, alpha: float) -> float:
@@ -256,39 +271,32 @@ def rotation_angle(w: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class WignerRotation:
-    """SU(2) little-group rotation: matrix plus its angle-axis reading.
+    """SU(2) little-group rotation given by its angle and unit axis.
 
-    The matrix is cos(angle/2) I + i sin(angle/2) (sigma . axis); construction
-    re-validates unitarity, unit determinant, and the angle-axis match.
+    ``matrix`` is cos(angle/2) I + i sin(angle/2) (sigma . axis), built by
+    ``su2_rotations``, which validates the axis and the matrix.
     """
 
-    matrix: np.ndarray
     angle: float
     axis: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        axis = _unit3(self.axis, "rotation axis")
         angle = float(self.angle)
-        if m.shape != (2, 2):
-            raise BadPhysicalParams(f"spin rotation must be 2x2, got {m.shape}")
-        _check_su2(m)
-        rebuilt = _su2_from_angle_axis(angle, axis)
-        if np.max(np.abs(m - rebuilt)) > MATRIX_TOL:
-            raise BadPhysicalParams("matrix does not match its angle-axis data")
+        axis = _unit3(self.axis, "rotation axis")
+        m = su2_rotations(angle, axis)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def identity(cls) -> "WignerRotation":
-        return cls(I2.copy(), 0.0, _DEFAULT_AXIS.copy())
+        return cls(0.0, _DEFAULT_AXIS)
 
     @classmethod
     def from_angle_axis(cls, angle: float, axis) -> "WignerRotation":
-        axis = _unit3(axis, "rotation axis")
-        return cls(_su2_from_angle_axis(float(angle), axis), float(angle), axis)
+        return cls(angle, axis)
 
 
 def _su2_from_angle_axis(angle, axis: np.ndarray) -> np.ndarray:
@@ -305,24 +313,14 @@ def _su2_from_angle_axis(angle, axis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_su2(m: np.ndarray) -> None:
-    # Unitarity and unit determinant of a (..., 2, 2) stack, within MATRIX_TOL.
-    gram = m @ np.swapaxes(m, -1, -2).conj()
-    if np.max(np.abs(gram - I2)) > MATRIX_TOL:
-        raise BadPhysicalParams("spin rotation is not unitary within tolerance")
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    if np.max(np.abs(det - 1.0)) > MATRIX_TOL:
-        raise BadPhysicalParams("spin rotation determinant is not 1 within tolerance")
-
-
 def su2_rotations(angle, axis) -> np.ndarray:
     """Closed-form spin-1/2 rotations for whole arrays of angles and axes.
 
     ``angle`` of shape (...) and unit ``axis`` of shape (..., 3) broadcast to
     a ``(..., 2, 2)`` stack of cos(angle/2) I + i sin(angle/2) (sigma . axis).
     Every axis must be a unit vector and every matrix unitary with unit
-    determinant within ``MATRIX_TOL``, the checks ``WignerRotation`` makes on
-    one matrix.
+    determinant within ``MATRIX_TOL``.  This is the only builder of spin
+    rotations: ``WignerRotation`` and both boost routes use it.
     """
     axis = np.asarray(axis, dtype=float)
     if axis.shape[-1:] != (3,):
@@ -332,8 +330,37 @@ def su2_rotations(angle, axis) -> np.ndarray:
     if np.max(np.abs(np.linalg.norm(axis, axis=-1) - 1.0)) > MATRIX_TOL:
         raise BadPhysicalParams("rotation axes must be unit vectors")
     m = _su2_from_angle_axis(angle, axis)
-    _check_su2(m)
+    if np.max(np.abs(m @ np.swapaxes(m, -1, -2).conj() - I2)) > MATRIX_TOL:
+        raise BadPhysicalParams("spin rotation is not unitary within tolerance")
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if np.max(np.abs(det - 1.0)) > MATRIX_TOL:
+        raise BadPhysicalParams("spin rotation determinant is not 1 within tolerance")
     return m
+
+
+def _wigner_angle_axis(boost: BoostSpec, p: FourMomentum) -> tuple[float, np.ndarray]:
+    # Angle and unit axis of the half-angle closed form.  atan2 reads the
+    # angle from the unnormalised pair; the normalisation it would need
+    # cancels badly near e . p_hat = -1 and is never formed.
+    p_vec = p.spatial
+    p_mag = float(np.linalg.norm(p_vec))
+    if p_mag <= 1e-14 * p.e or boost.rapidity == 0.0:
+        return 0.0, _DEFAULT_AXIS
+    p_hat = p_vec / p_mag
+    e_hat = boost.direction
+    cross = np.cross(e_hat, p_hat)
+    scale = float(np.abs(cross).max())
+    if scale == 0.0:
+        return 0.0, _DEFAULT_AXIS
+    # Rescale before normalising: |e x p_hat| may be subnormal, with too few
+    # digits left to divide by.
+    axis = cross / scale
+    norm = math.hypot(*axis)
+    w = boost.rapidity
+    a = momentum_rapidity(p)
+    sh_sh = math.sinh(w / 2.0) * math.sinh(a / 2.0)
+    cos_half = math.cosh(w / 2.0) * math.cosh(a / 2.0) + sh_sh * float(e_hat @ p_hat)
+    return 2.0 * math.atan2(sh_sh * scale * norm, cos_half), axis / norm
 
 
 def wigner_rotation(boost: BoostSpec, p: FourMomentum) -> WignerRotation:
@@ -342,28 +369,4 @@ def wigner_rotation(boost: BoostSpec, p: FourMomentum) -> WignerRotation:
     A particle at rest (or a trivial boost) yields the identity with angle 0;
     when the angle vanishes the reported axis is the (never used) z-axis.
     """
-    p_vec = p.spatial
-    p_mag = float(np.linalg.norm(p_vec))
-    if p_mag <= 1e-14 * p.e or boost.rapidity == 0.0:
-        return WignerRotation.identity()
-
-    p_hat = p_vec / p_mag
-    e_hat = boost.direction
-    w = boost.rapidity
-    a = momentum_rapidity(p)
-    dot = float(e_hat @ p_hat)
-
-    denom = math.sqrt(
-        (1.0 + math.cosh(w) * math.cosh(a) + math.sinh(w) * math.sinh(a) * dot) / 2.0
-    )
-    cos_half = (
-        math.cosh(w / 2.0) * math.cosh(a / 2.0)
-        + math.sinh(w / 2.0) * math.sinh(a / 2.0) * dot
-    ) / denom
-    sin_vec = (math.sinh(w / 2.0) * math.sinh(a / 2.0) / denom) * np.cross(e_hat, p_hat)
-
-    sin_half = float(np.linalg.norm(sin_vec))
-    angle = 2.0 * math.atan2(sin_half, cos_half)
-    axis = sin_vec / sin_half if sin_half > 0.0 else _DEFAULT_AXIS.copy()
-    matrix = cos_half * I2 + 1j * sum(sin_vec[k] * PAULI[k] for k in range(3))
-    return WignerRotation(matrix, angle, axis)
+    return WignerRotation(*_wigner_angle_axis(boost, p))

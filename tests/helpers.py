@@ -260,3 +260,37 @@ def same_up_to_global_phase(u, v, tol=1e-10):
     phase = u[pivot] / v[pivot]
     phase /= abs(phase)
     return bool(np.max(np.abs(u - phase * v)) <= tol)
+
+
+def wigner_angle_mp(boost, p, digits=60):
+    """Half-angle Wigner angle evaluated with mpmath at ``digits`` digits.
+
+    The inputs are the float components the library receives: the boost
+    rapidity and direction, and the stored (e, px, py, pz) of ``p``, whose
+    mass sqrt(e^2 - |p|^2) is taken exactly.  (``FourMomentum.from_spatial``
+    rounds e, so that mass differs from the requested one by up to about
+    (|p|/m)^2 * 1e-16 relative.)  The angle is
+    2 atan2(sh(w/2) sh(a/2) |e x p_hat|, ch(w/2) ch(a/2) + sh(w/2) sh(a/2) e . p_hat)
+    with a = asinh(|p|/m).
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        mpf = mpmath.mpf
+        e = [mpf(float(x)) for x in boost.direction]
+        k = [mpf(p.px), mpf(p.py), mpf(p.pz)]
+        k_mag = mpmath.sqrt(sum(x * x for x in k))
+        mass = mpmath.sqrt(mpf(p.e) ** 2 - k_mag**2)
+        k_hat = [x / k_mag for x in k]
+        dot = sum(x * y for x, y in zip(e, k_hat))
+        cross = (
+            e[1] * k_hat[2] - e[2] * k_hat[1],
+            e[2] * k_hat[0] - e[0] * k_hat[2],
+            e[0] * k_hat[1] - e[1] * k_hat[0],
+        )
+        half_w = mpf(boost.rapidity) / 2
+        half_a = mpmath.asinh(k_mag / mass) / 2
+        sh_sh = mpmath.sinh(half_w) * mpmath.sinh(half_a)
+        cos_half = mpmath.cosh(half_w) * mpmath.cosh(half_a) + sh_sh * dot
+        sin_half = sh_sh * mpmath.sqrt(sum(x * x for x in cross))
+        return float(2 * mpmath.atan2(sin_half, cos_half))

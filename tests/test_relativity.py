@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from ccrsim import (
     BadPhysicalParams,
     BoostSpec,
@@ -17,8 +18,10 @@ from ccrsim import (
     OracleOutOfDomain,
     VelocityOutOfRange,
     WignerRotation,
+    apply_boost,
     boost_matrix,
     boost_momentum,
+    make_product_state,
     momentum_rapidity,
     rapidity_from_velocity,
     rotation_angle,
@@ -261,6 +264,46 @@ def test_wigner_rotation_from_angle_axis_validates():
     assert abs(w.angle - 0.3) < 1e-15
     ident = WignerRotation.identity()
     assert np.array_equal(ident.matrix, np.eye(2))
+
+
+def test_wigner_rotation_derives_its_matrix_from_angle_and_axis():
+    axis = np.array([0.0, 0.6, 0.8])
+    w = WignerRotation(0.7, axis)
+    c, s = math.cos(0.35), math.sin(0.35)
+    expected = np.array(
+        [[c + 0.8j * s, 0.6 * s + 0j], [-0.6 * s + 0j, c - 0.8j * s]]
+    )
+    np.testing.assert_allclose(w.matrix, expected, rtol=0, atol=1e-15)
+    assert not w.matrix.flags.writeable
+    for bad_axis in ([0.0, 0.0], [0.0, 0.0, 2.0], [0.0, float("nan"), 1.0]):
+        with pytest.raises(BadPhysicalParams):
+            WignerRotation(0.7, np.array(bad_axis))
+    with pytest.raises(BadPhysicalParams):
+        WignerRotation(float("inf"), axis)
+
+
+@pytest.mark.parametrize(
+    "rapidity, p_vec", [(5.0, (-1000.0, 1.0, 0.0)), (8.0, (-100.0, 0.1, 0.0))]
+)
+def test_near_anti_collinear_boost_is_accurate_and_not_refused(rapidity, p_vec):
+    # A normalised half-angle pair cancels near e . p_hat = -1; these boosts
+    # used to be refused with "spin rotation is not unitary".
+    pytest.importorskip("mpmath")
+    p = FourMomentum.from_spatial(1.0, np.array(p_vec))
+    boost = BoostSpec(rapidity, np.array([1.0, 0.0, 0.0]))
+    state = make_product_state([[("k", p, 1.0)]], [(1.0, 0.0)])
+    assert abs(float(np.linalg.norm(apply_boost(state, boost).vector)) - 1.0) < 1e-12
+    assert abs(wigner_rotation(boost, p).angle - helpers.wigner_angle_mp(boost, p)) < 1e-11
+
+
+def test_momentum_rapidity_keeps_its_digits_near_rest():
+    # acosh(E/m) loses half the digits at E/m = 1 + 5e-13.
+    pytest.importorskip("mpmath")
+    p = FourMomentum.from_spatial(1.0, np.array([0.0, 1e-6, 0.0]))
+    assert abs(momentum_rapidity(p) - math.asinh(1e-6)) < 1e-14 * 1e-6
+    boost = BoostSpec(2.0, np.array([1.0, 0.0, 0.0]))
+    exact = helpers.wigner_angle_mp(boost, p)
+    assert abs(wigner_rotation(boost, p).angle - exact) < 1e-12 * exact
 
 
 def test_su2_rotations_batch_matches_from_angle_axis():

@@ -250,6 +250,15 @@ def test_write_csv_layout_and_determinism(tmp_path):
     assert first[0] == "xi" and first[3] == "0" and first[4] == "momentum"
 
 
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_run_sweep_predictability_is_never_negative(scenario):
+    # sum_i rho_ii^2 - 1/d printed values down to -2.2e-16 on these grids.
+    grid = tuple(float(x) for x in np.linspace(0.0, HALF_PI, 33))
+    phis = tuple(float(x) for x in np.linspace(0.0, HALF_PI, 65))
+    records = run_sweep(SweepConfig(scenario, grid, phis))
+    assert min(r.predictability for r in records) >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # CLI behaviour
 # ---------------------------------------------------------------------------
@@ -365,7 +374,8 @@ def test_cli_check_reports_failure_with_injected_fault(monkeypatch, capsys):
     real = measures.coherence_hs
 
     def corrupted(rho):
-        return real(rho) + float(np.sum(np.abs(np.diag(rho.matrix)) ** 2))
+        m = getattr(rho, "matrix", rho)
+        return real(rho) + np.sum(np.abs(np.diagonal(m, axis1=-2, axis2=-1)) ** 2, axis=-1)
 
     monkeypatch.setattr(measures, "coherence_hs", corrupted)
     rc = cli.main(["check", "--seed", "3"])

@@ -16,8 +16,9 @@ momenta untouched and only retags the mode tokens.
 Both routes hand one ``(M, 2, 2)`` stack of D matrices per particle to
 ``linalg.apply_controlled``, which contracts each into that particle's
 (momentum, spin) axes of the amplitude tensor; the dense controlled unitary
-is never formed.  ``wigner_angle_stacks`` also builds the stacks for a whole
-(theta, phi) block at once, which is how ``sweep`` evaluates its grid.
+is never formed.  ``wigner_angle_grid`` boosts a state over a whole
+(theta, phi) grid at once, which is how ``sweep`` evaluates its blocks and
+the check battery its xi2 suites.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .relativity import (
     boost_momentum,
     su2_rotations,
 )
-from .states import MomentumMode, MultipartiteState, Particle
+from .states import MomentumMode, MultipartiteState, Particle, boost_direction
 
 # Tag prepended to every mode token by a boost, mirroring |p> -> |Lambda p>.
 BOOST_TAG = "Λ"  # capital lambda
@@ -124,6 +125,17 @@ def wigner_angle_stacks(
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
         stacks.append(su2_rotations(phi[..., None], axes))
     return stacks
+
+
+def wigner_angle_grid(state: MultipartiteState, thetas, phis) -> np.ndarray:
+    """Amplitudes of ``state`` boosted over a (theta, phi) grid, ``(T, F, prod(dims))``.
+
+    ``thetas`` pick ``boost_direction``s and ``phis`` Wigner angles; the grid
+    goes through one ``wigner_angle_stacks`` and one ``apply_controlled``.
+    """
+    directions = np.array([boost_direction(theta) for theta in thetas])
+    stacks = wigner_angle_stacks(state.particles, phis, directions[:, None, :])
+    return apply_controlled(state.vector, state.dims, stacks)
 
 
 def boost_by_wigner_angle(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures
-from .boost import apply_boost, boost_by_wigner_angle
+from . import linalg, measures
+from .boost import apply_boost, wigner_angle_grid
 from .linalg import StateVector, kron, outer, partial_trace, purity
 from .measures import ccr, concurrence_momentum_x, linear_entropy
 from .relativity import (
@@ -29,7 +29,6 @@ from .relativity import (
 from .states import (
     SPIN,
     ScenarioId,
-    boost_direction,
     make_product_state,
     make_scenario,
     reduced_density_matrix,
@@ -311,28 +310,27 @@ def _check_entropy_multiindex(rng: np.random.Generator) -> SuiteResult:
     return _result("entropy-multiindex-equivalence", dev, 1e-12)
 
 
+def _xi2_reductions(thetas, phis, keep: set[int]) -> np.ndarray:
+    """Validated reduced matrices of xi2 boosted over a (theta, phi) grid."""
+    base = make_scenario(ScenarioId.XI2)
+    amps = wigner_angle_grid(base, thetas, phis)
+    rho = measures.reduced_matrices(amps, base.dims, keep)
+    linalg.check_density_matrices(rho)
+    return rho
+
+
 def _check_xi2_momentum_marginal() -> SuiteResult:
     dev = 0.0
-    base = make_scenario(ScenarioId.XI2)
     half = np.eye(2) / 2.0
-    for theta in GRID_THETA:
-        e_hat = boost_direction(theta)
-        for phi in GRID_PHI[::4]:
-            boosted = boost_by_wigner_angle(base, phi, e_hat)
-            for idx in (0, 2):
-                dev = max(
-                    dev, float(np.max(np.abs(reduced_density_matrix(boosted, {idx}).matrix - half)))
-                )
+    for idx in (0, 2):
+        rho = _xi2_reductions(GRID_THETA, GRID_PHI[::4], {idx})
+        dev = max(dev, float(np.max(np.abs(rho - half))))
     return _result("xi2-momentum-marginal", dev, 1e-12)
 
 
 def _check_xi2_concurrence_monotonic() -> SuiteResult:
-    base = make_scenario(ScenarioId.XI2)
-    e_hat = boost_direction(math.pi / 2)
-    values = []
-    for phi in GRID_PHI:
-        boosted = boost_by_wigner_angle(base, phi, e_hat)
-        values.append(concurrence_momentum_x(reduced_density_matrix(boosted, {0, 2})))
+    rho = _xi2_reductions((math.pi / 2,), GRID_PHI, {0, 2})[0]
+    values = [concurrence_momentum_x(linalg.DensityMatrix((2, 2), m)) for m in rho]
     dev = max(0.0, max(b - a for a, b in zip(values, values[1:])))
     return _result("xi2-concurrence-monotonic", dev, 1e-12, "E must not increase with phi")
 

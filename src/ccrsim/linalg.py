@@ -8,14 +8,16 @@ the total dimension (the benchmarks run states of up to 256 amplitudes).
 
 ``apply_controlled`` and ``reduce_factor`` also accept leading batch
 axes: a whole grid of states, or one state under a grid of operators, goes
-through one call.  The loop form of the partial trace survives in the tests
-as the oracle the einsum form is compared against.
+through one call.  ``reduce_factor`` reduces pure states onto any keep-set;
+``outer`` + ``partial_trace`` is the dense route, and the loop form of the
+partial trace is the oracle in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -152,6 +154,18 @@ def outer(psi: StateVector) -> DensityMatrix:
     return DensityMatrix(psi.dims, np.outer(v, v.conj()) / n2)
 
 
+def _keep_list(keep: int | Iterable[int], n: int) -> list[int]:
+    # Sorted keep-set over n factors (a bare index is a one-factor set).
+    keep_list = [keep] if isinstance(keep, (int, np.integer)) else sorted(keep)
+    if not keep_list:
+        raise BadSubsystemIndex("keep-set is empty")
+    if len(keep_list) != len(set(keep_list)):
+        raise BadSubsystemIndex(f"keep-set {keep_list} has repeated indices")
+    if keep_list[0] < 0 or keep_list[-1] >= n:
+        raise BadSubsystemIndex(f"keep-set {keep_list} out of range for {n} factors")
+    return keep_list
+
+
 def partial_trace(rho: DensityMatrix, keep: set[int] | frozenset[int]) -> DensityMatrix:
     """Trace out every factor not in ``keep``, preserving factor order.
 
@@ -163,15 +177,8 @@ def partial_trace(rho: DensityMatrix, keep: set[int] | frozenset[int]) -> Densit
     is a single einsum.  Keeping every factor sums nothing and returns an
     exact copy.
     """
-    keep_list = sorted(keep)
     n = len(rho.dims)
-    if not keep_list:
-        raise BadSubsystemIndex("keep-set is empty")
-    if len(keep_list) != len(set(keep_list)):
-        raise BadSubsystemIndex(f"keep-set {keep_list} has repeated indices")
-    if keep_list[0] < 0 or keep_list[-1] >= n:
-        raise BadSubsystemIndex(f"keep-set {keep_list} out of range for {n} factors")
-
+    keep_list = _keep_list(keep, n)
     rows = list(range(n))
     cols = [n + i if i in keep_list else i for i in range(n)]
     out_axes = keep_list + [n + i for i in keep_list]
@@ -223,17 +230,26 @@ def apply_controlled(
     return out / norm[..., None]
 
 
-def reduce_factor(amplitudes: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
-    """Reduced matrix of factor ``k`` of pure states, straight from amplitudes.
+def reduce_factor(
+    amplitudes: np.ndarray, dims: tuple[int, ...], keep: int | Iterable[int]
+) -> np.ndarray:
+    """Reduced matrices of the kept factors of pure states, straight from amplitudes.
 
-    ``amplitudes`` has shape ``(..., prod(dims))``.  Viewed as
-    ``(..., before, d_k, after)``, rho_ij = sum_xy a_xiy conj(a_xjy), so no
-    global projector is formed.  The result has shape ``(..., d_k, d_k)``
-    and is not divided by the squared norm.
+    ``amplitudes`` has shape ``(..., prod(dims))``; ``keep`` is a factor index
+    or a keep-set (BadSubsystemIndex if empty, repeated or out of range).
+    rho[I, J] = sum_T a[I, T] conj(a[J, T]) is one einsum on the amplitude
+    tensor, so no projector is formed.  The result, ``(..., d, d)`` over the
+    kept factors in order, is not divided by the squared norm.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    a = amplitudes.reshape(amplitudes.shape[:-1] + (math.prod(dims[:k]), dims[k], -1))
-    return np.einsum("...xiy,...xjy->...ij", a, a.conj())
+    n = len(dims)
+    keep_list = _keep_list(keep, n)
+    a = amplitudes.reshape(amplitudes.shape[:-1] + tuple(dims))
+    cols = [n + i if i in keep_list else i for i in range(n)]
+    out_axes = [..., *keep_list, *(n + i for i in keep_list)]
+    out = np.einsum(a, [..., *range(n)], a.conj(), [..., *cols], out_axes)
+    d = math.prod(dims[i] for i in keep_list)
+    return out.reshape(amplitudes.shape[:-1] + (d, d))
 
 
 def _norm_sq(amplitudes: np.ndarray) -> np.ndarray:

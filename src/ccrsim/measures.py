@@ -22,14 +22,15 @@ straight from global matrix elements:
 
 with I, J multi-indices over the remaining factors.  It never builds the
 reduced matrix, so it serves as an independent route against
-``1 - purity(partial_trace(...))``; the two must agree to 1e-12.
+``1 - purity(partial_trace(...))``; the two must agree to 1e-12.  The sum is
+vectorised under one boolean mask; its loop form is the reference in tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -59,19 +60,19 @@ def _as_state_vector(state: MultipartiteState | StateVector) -> StateVector:
     return state.amplitudes if isinstance(state, MultipartiteState) else state
 
 
-def _reduced(amplitudes: np.ndarray, dims: tuple[int, ...], subsystem: int) -> np.ndarray:
-    """Unit-trace reduced matrices of one factor of pure states, ``(..., d, d)``.
+def reduced_matrices(
+    amplitudes: np.ndarray, dims: tuple[int, ...], keep: int | Iterable[int]
+) -> np.ndarray:
+    """Unit-trace ``reduce_factor`` of pure states onto ``keep``, not validated.
 
     Raises GlobalStateNotPure when a squared norm is off 1 by more than
     ``PURITY_TOL``; within that band the reduction is divided by it.
     """
-    if not 0 <= subsystem < len(dims):
-        raise BadSubsystemIndex(f"subsystem {subsystem} out of range for {len(dims)} factors")
     norm_sq = _norm_sq(amplitudes)
     worst = float(np.abs(norm_sq - 1.0).max())
     if not worst <= PURITY_TOL:  # also catches NaN
         raise GlobalStateNotPure(f"squared norm deviates from 1 by {worst!r}")
-    return reduce_factor(amplitudes, dims, subsystem) / norm_sq[..., None, None]
+    return reduce_factor(amplitudes, dims, keep) / norm_sq[..., None, None]
 
 
 def _matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -131,7 +132,7 @@ def _triple(rho: DensityMatrix | np.ndarray) -> tuple:
 
 def _factor_rho(state: MultipartiteState | StateVector, subsystem: int) -> DensityMatrix:
     sv = _as_state_vector(state)
-    rho = _reduced(sv.amplitudes, sv.dims, subsystem)
+    rho = reduced_matrices(sv.amplitudes, sv.dims, subsystem)
     return DensityMatrix((sv.dims[subsystem],), rho)
 
 
@@ -152,56 +153,31 @@ def ccr_arrays(
     squared norm within ``PURITY_TOL`` of 1, and every reduced matrix a
     valid density matrix.
     """
-    rho = _reduced(amplitudes, dims, subsystem)
+    rho = reduced_matrices(amplitudes, dims, subsystem)
     check_density_matrices(rho)
     return _triple(rho)
 
 
-def _strides(dims: tuple[int, ...]) -> list[int]:
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
-
-
 def linear_entropy_multiindex(state: MultipartiteState | StateVector, subsystem: int) -> float:
-    """S_l of one factor evaluated as the literal double multi-index sum.
+    """S_l of one factor evaluated as the double multi-index sum.
 
-    Works directly on amplitude products rho_{A,B} = v_A conj(v_B); no reduced
-    matrix and no partial trace are involved.
+    Works directly on global elements rho_{A,B} = v_A conj(v_B), indexed as
+    rho[i1, j1, I, J] and summed under one boolean mask (i1 != j1, I != J);
+    no reduced matrix and no partial trace are involved.
     """
     sv = _as_state_vector(state)
     dims = sv.dims
     if not 0 <= subsystem < len(dims):
         raise BadSubsystemIndex(f"subsystem {subsystem} out of range for {len(dims)} factors")
-    v = sv.amplitudes
-    strides = _strides(dims)
-    rest = [k for k in range(len(dims)) if k != subsystem]
-    s_stride = strides[subsystem]
-    rest_offsets = [
-        sum(strides[pos] * t for pos, t in zip(rest, tup))
-        for tup in itertools.product(*(range(dims[k]) for k in rest))
-    ]
-
-    def rho(row: int, col: int) -> complex:
-        return v[row] * np.conj(v[col])
-
-    total = 0.0 + 0.0j
-    for i1 in range(dims[subsystem]):
-        for j1 in range(dims[subsystem]):
-            if i1 == j1:
-                continue
-            for off_i in rest_offsets:
-                for off_j in rest_offsets:
-                    if off_i == off_j:
-                        continue
-                    row_ii = i1 * s_stride + off_i
-                    col_jj = j1 * s_stride + off_j
-                    col_ji = j1 * s_stride + off_i
-                    row_ij = i1 * s_stride + off_j
-                    total += abs(rho(row_ii, col_jj)) ** 2
-                    total -= rho(row_ii, col_ji) * np.conj(rho(row_ij, col_jj))
-    return float(np.real(total))
+    d = dims[subsystem]
+    v = sv.amplitudes.reshape(math.prod(dims[:subsystem]), d, -1)
+    v = np.moveaxis(v, 1, 0).reshape(d, -1)  # v[i1, I]
+    rest = v.shape[1]
+    rho = np.multiply.outer(v, v.conj()).transpose(0, 2, 1, 3)  # rho[i1, j1, I, J]
+    same = np.einsum("ijII->ijI", rho)  # rho_{i1 I, j1 I}
+    terms = np.abs(rho) ** 2 - same[:, :, :, None] * same[:, :, None, :].conj()
+    off = ~np.eye(d, dtype=bool)[:, :, None, None] & ~np.eye(rest, dtype=bool)
+    return float(np.sum(terms[off]).real)
 
 
 def concurrence_pure(state: MultipartiteState | StateVector, subsystem: int) -> float:

@@ -37,7 +37,7 @@ from .errors import (
     NotNormalized,
     ThetaOutOfRange,
 )
-from .linalg import STATE_NORM_TOL, DensityMatrix, StateVector, outer, partial_trace
+from .linalg import STATE_NORM_TOL, DensityMatrix, StateVector, _norm_sq, reduce_factor
 from .relativity import FourMomentum
 
 # Two numeric momenta closer than this (max-norm) no longer label distinct modes.
@@ -159,8 +159,14 @@ class MultipartiteState:
 
 
 def reduced_density_matrix(state: MultipartiteState, keep: set[int] | frozenset[int]) -> DensityMatrix:
-    """Reduction of the global projector onto the kept factors."""
-    return partial_trace(outer(state.amplitudes), keep)
+    """Reduced density matrix of the kept factors, straight from the amplitudes.
+
+    No global projector is formed (``linalg.reduce_factor``).  An empty,
+    repeated or out-of-range keep-set raises BadSubsystemIndex.
+    """
+    v = state.vector
+    rho = reduce_factor(v, state.dims, keep) / _norm_sq(v)
+    return DensityMatrix(tuple(state.dims[i] for i in sorted(keep)), rho)
 
 
 def boost_direction(theta: float) -> np.ndarray:

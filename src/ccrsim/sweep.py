@@ -28,11 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .boost import wigner_angle_stacks
+from .boost import wigner_angle_grid
 from .errors import ConfigError
-from .linalg import apply_controlled
 from .measures import ccr_arrays
-from .states import DOFS, ScenarioId, boost_direction, make_scenario
+from .states import DOFS, ScenarioId, make_scenario
 
 CSV_COLUMNS = ("scenario", "theta", "phi", "particle", "dof", "P", "C", "S", "sum", "residual")
 
@@ -81,7 +80,10 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Validated sweep request; construction reports every violation at once."""
+    """Validated sweep request; construction reports every violation at once.
+
+    ``scenario`` may be given as its name; it is stored as a ``ScenarioId``.
+    """
 
     scenario: ScenarioId
     theta_values: tuple[float, ...]
@@ -93,6 +95,13 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         problems: list[str] = []
+        try:
+            scenario = ScenarioId(self.scenario)
+            object.__setattr__(self, "scenario", scenario)
+        except ValueError:
+            names = ", ".join(s.value for s in ScenarioId)
+            problems.append(f"unknown scenario {self.scenario!r}; pick one of {names}")
+            scenario = None
         half_pi = math.pi / 2.0 + 1e-12
         for name, values in (("theta", self.theta_values), ("phi", self.phi_values)):
             if not values:
@@ -100,12 +109,12 @@ class SweepConfig:
             for v in values:
                 if not (math.isfinite(v) and 0.0 <= v <= half_pi):
                     problems.append(f"{name} value {v!r} outside [0, pi/2]")
-        n_particles = 2 if self.scenario in (ScenarioId.XI2, ScenarioId.UPSILON) else 1
+        n_particles = 2 if scenario in (ScenarioId.XI2, ScenarioId.UPSILON) else 1
         if self.subsystems is not None:
             for particle, dof in self.subsystems:
-                if not 0 <= particle < n_particles:
+                if scenario is not None and not 0 <= particle < n_particles:
                     problems.append(
-                        f"subsystem particle {particle} out of range for {self.scenario.value}"
+                        f"subsystem particle {particle} out of range for {scenario.value}"
                     )
                 if dof not in DOFS:
                     problems.append(f"subsystem dof {dof!r} must be one of {DOFS}")
@@ -204,13 +213,6 @@ def build_config(
     scenario_text = pick(scenario, "scenario")
     if scenario_text is None:
         raise ConfigError("no scenario given (flag --id or config key 'scenario')")
-    try:
-        sid = ScenarioId(scenario_text)
-    except ValueError:
-        raise ConfigError(
-            f"unknown scenario {scenario_text!r}; pick one of "
-            f"{', '.join(s.value for s in ScenarioId)}"
-        ) from None
 
     theta_text = pick(theta, "theta")
     phi_text = pick(phi, "phi")
@@ -241,7 +243,7 @@ def build_config(
         return default
 
     return SweepConfig(
-        scenario=sid,
+        scenario=scenario_text,
         theta_values=theta_values,
         phi_values=phi_values,
         subsystems=subsystem_pairs,
@@ -254,8 +256,9 @@ def build_config(
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the grid; rows ordered (theta asc, phi asc, subsystem asc).
 
-    Whole blocks of theta rows go through the batched routes of
-    ``boost_by_wigner_angle`` and ``ccr`` at once, with the same checks.
+    Whole blocks of theta rows go through ``wigner_angle_grid`` and
+    ``ccr_arrays`` at once, with the checks of ``boost_by_wigner_angle`` and
+    ``ccr``.
     """
     base = make_scenario(config.scenario, config.p_mag, config.mass)
     if config.subsystems is None:
@@ -272,9 +275,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     records = []
     for start in range(0, len(thetas), rows_per_block):
         block = thetas[start : start + rows_per_block]
-        directions = np.array([boost_direction(theta) for theta in block])
-        stacks = wigner_angle_stacks(base.particles, np.array(phis), directions[:, None, :])
-        amps = apply_controlled(base.vector, base.dims, stacks)
+        amps = wigner_angle_grid(base, block, phis)
         columns = [
             (particle, dof, [a.tolist() for a in ccr_arrays(amps, base.dims, idx)])
             for particle, dof, idx in chosen

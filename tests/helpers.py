@@ -232,6 +232,48 @@ def partial_trace_loop(matrix, dims, keep):
     return out
 
 
+def linear_entropy_multiindex_loop(amplitudes, dims, subsystem):
+    """S_l of one factor as the literal double multi-index sum, loop by loop.
+
+        S_l = sum_{i1 != j1} sum_{I != J} ( |rho_{i1 I, j1 J}|^2
+                                            - rho_{i1 I, j1 I} rho*_{i1 J, j1 J} )
+
+    with rho_{A,B} = v_A conj(v_B) read off the flat amplitude vector.
+    """
+    dims = tuple(dims)
+    v = np.asarray(amplitudes, dtype=complex)
+    n = len(dims)
+    strides = [1] * n
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * dims[i + 1]
+    rest = [k for k in range(n) if k != subsystem]
+    s_stride = strides[subsystem]
+    rest_offsets = [
+        sum(strides[pos] * t for pos, t in zip(rest, tup))
+        for tup in itertools.product(*(range(dims[k]) for k in rest))
+    ]
+
+    def rho(row, col):
+        return v[row] * np.conj(v[col])
+
+    total = 0.0 + 0.0j
+    for i1 in range(dims[subsystem]):
+        for j1 in range(dims[subsystem]):
+            if i1 == j1:
+                continue
+            for off_i in rest_offsets:
+                for off_j in rest_offsets:
+                    if off_i == off_j:
+                        continue
+                    row_ii = i1 * s_stride + off_i
+                    col_jj = j1 * s_stride + off_j
+                    col_ji = j1 * s_stride + off_i
+                    row_ij = i1 * s_stride + off_j
+                    total += abs(rho(row_ii, col_jj)) ** 2
+                    total -= rho(row_ii, col_ji) * np.conj(rho(row_ij, col_jj))
+    return float(np.real(total))
+
+
 def controlled_unitary_dense(stacks):
     """Dense block-diagonal controlled unitary of per-pair (M, t, t) stacks.
 

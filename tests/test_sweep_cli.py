@@ -397,3 +397,18 @@ def test_run_all_checks_passes_quick_seed():
     failures = [r.name for r in results if not r.passed]
     assert failures == []
     assert len(results) == 20
+
+
+def test_sweep_config_accepts_a_scenario_name():
+    config = SweepConfig("upsilon", (0.0, 0.4), (0.1, 0.9))
+    assert config.scenario is ScenarioId.UPSILON
+    by_enum = run_sweep(SweepConfig(ScenarioId.UPSILON, (0.0, 0.4), (0.1, 0.9)))
+    assert run_sweep(config) == by_enum
+    assert run_sweep(SweepConfig("upsilon", (0.0,), (0.1,)))[0].scenario == "upsilon"
+
+
+def test_sweep_config_refuses_an_unknown_scenario_name():
+    with pytest.raises(ConfigError, match="unknown scenario 'omega'"):
+        SweepConfig("omega", (0.0,), (0.1,))
+    with pytest.raises(ConfigError, match="unknown scenario.*phi value 2.0"):
+        SweepConfig("omega", (0.0,), (2.0,), subsystems=((1, "spin"),))

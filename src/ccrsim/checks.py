@@ -33,7 +33,7 @@ from .states import (
     make_scenario,
     reduced_density_matrix,
 )
-from .sweep import SweepConfig, SweepRecord, run_sweep
+from .sweep import SweepBlock, SweepConfig, run_sweep
 
 DEFAULT_SEED = 1905
 
@@ -246,40 +246,46 @@ def _check_scenario_preboost_marginals() -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# measures suites (share the sweep rows of the check grid)
+# measures suites (share the sweep blocks of the check grid)
 
 
-_Grid = list[tuple[measures.ComplementarityTriple, SweepRecord]]
+# (scenario, pre-boost triples in the blocks' subsystem order, one sweep block)
+_Grid = list[tuple[str, list[measures.ComplementarityTriple], SweepBlock]]
 
 
 def _complementarity_grid() -> _Grid:
-    """Every ``run_sweep`` row of the check grid, paired with its pre-boost triple."""
-    rows = []
+    """Every ``run_sweep`` block of the check grid, with its scenario's pre-boost triples."""
+    grid = []
     for sid in ScenarioId:
         base = make_scenario(sid)
-        pre = {(p, dof): ccr(base, idx) for p, dof, idx in base.single_dof_subsystems()}
-        for record in run_sweep(SweepConfig(sid, GRID_THETA, GRID_PHI)):
-            rows.append((pre[record.particle, record.dof], record))
-    return rows
+        pre = [ccr(base, idx) for _, _, idx in base.single_dof_subsystems()]
+        blocks = run_sweep(SweepConfig(sid, GRID_THETA, GRID_PHI))
+        grid.extend((sid.value, pre, block) for block in blocks)
+    return grid
 
 
 def _check_ccr_identity(grid: _Grid) -> SuiteResult:
     dev = 0.0
-    for pre, post in grid:
-        dev = max(dev, pre.residual, post.residual)
+    for _, pre, block in grid:
+        dev = max(dev, *(t.residual for t in pre), float(block.residual.max()))
     return _result("ccr-identity-grid", dev, 1e-10)
+
+
+def _max_shift(post: np.ndarray, pre: list[float]) -> float:
+    """Largest |post - pre| over a block column, with ``pre`` given per subsystem."""
+    return float(np.max(np.abs(post - np.array(pre))))
 
 
 def _check_ccr_invariance(grid: _Grid) -> SuiteResult:
     dev = 0.0
     witness: dict[str, float] = {}
-    for pre, post in grid:
-        dev = max(dev, abs(post.total - pre.total))
+    for scenario, pre, block in grid:
+        dev = max(dev, _max_shift(block.total, [t.total for t in pre]))
         shift = max(
-            abs(post.predictability - pre.predictability),
-            abs(post.coherence - pre.coherence),
+            _max_shift(block.predictability, [t.predictability for t in pre]),
+            _max_shift(block.coherence, [t.coherence for t in pre]),
         )
-        witness[post.scenario] = max(witness.get(post.scenario, 0.0), shift)
+        witness[scenario] = max(witness.get(scenario, 0.0), shift)
     missing = [s for s, shift in witness.items() if shift <= 0.1]
     detail = "each scenario must move P or C by > 0.1 somewhere on the grid"
     if missing:
@@ -289,11 +295,13 @@ def _check_ccr_invariance(grid: _Grid) -> SuiteResult:
 
 def _check_measure_ranges(grid: _Grid) -> SuiteResult:
     dev = 0.0
-    for pre, post in grid:
-        top = (pre.d - 1.0) / pre.d
-        for t in (pre, post):
+    for _, pre, block in grid:
+        tops = [(t.d - 1.0) / t.d for t in pre]
+        for t, top in zip(pre, tops):
             for v in (t.predictability, t.coherence, t.entropy):
                 dev = max(dev, -v, v - top)
+        for v in (block.predictability, block.coherence, block.entropy):
+            dev = max(dev, -float(v.min()), float(np.max(v - np.array(tops))))
     return _result("measure-ranges", max(0.0, dev), 1e-12)
 
 
@@ -336,15 +344,13 @@ def _check_xi2_concurrence_monotonic() -> SuiteResult:
 
 
 def _check_upsilon_coherence_growth(grid: _Grid) -> SuiteResult:
-    values = [
-        post.coherence
-        for _, post in grid
-        if post.scenario == ScenarioId.UPSILON.value
-        and post.theta == math.pi / 2
-        and (post.particle, post.dof) == (0, SPIN)
-    ]
-    dev = max(0.0, max(a - b for a, b in zip(values, values[1:])))
-    dev = max(dev, abs(values[-1] - 0.5))
+    values = next(
+        block.coherence[block.thetas.index(math.pi / 2), :, block.subsystems.index((0, SPIN))]
+        for scenario, _, block in grid
+        if scenario == ScenarioId.UPSILON.value and math.pi / 2 in block.thetas
+    )
+    dev = max(0.0, float(np.max(values[:-1] - values[1:])))
+    dev = max(dev, abs(float(values[-1]) - 0.5))
     return _result("upsilon-coherence-growth", dev, 1e-12, "C must reach 1/2 at phi = pi/2")
 
 

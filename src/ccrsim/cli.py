@@ -3,12 +3,14 @@
 Subcommands: ``scenario`` (one state, one boost, full report), ``sweep``
 (angle grid to CSV), ``wigner`` (closed form vs 4x4 oracle for one boost),
 ``check`` (invariant battery).  Exit codes: 0 on success, 1 when the check
-battery fails, 2 on bad usage or invalid parameters.
+battery fails, 2 on bad usage, invalid parameters or a file that cannot be
+read or written, 141 when stdout is closed before the output is complete.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -35,9 +37,13 @@ from .states import (
     make_scenario,
     reduced_density_matrix,
 )
-from .sweep import CSV_COLUMNS, build_config, fmt_float, load_config_file, run_sweep, write_csv
+from .sweep import build_config, fmt_float, load_config_file, write_csv
 
 _SCENARIO_CHOICES = [s.value for s in ScenarioId]
+
+# Exit status when stdout is closed early: 128 + SIGPIPE, as a shell reports
+# a process that the signal ended.
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_vec3(text: str) -> np.ndarray:
@@ -126,22 +132,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         mass=args.mass,
         angles_in_degrees=args.degrees,
     )
-    records = run_sweep(config)
-    max_residual = max(r.residual for r in records)
+    rows, max_residual = write_csv(config)
     if config.out:
-        write_csv(records, config.out)
         print(
-            f"wrote {len(records)} rows to {config.out}; max residual {fmt_float(max_residual)}",
+            f"wrote {rows} rows to {config.out}; max residual {fmt_float(max_residual)}",
             file=sys.stderr,
         )
     else:
-        print(",".join(CSV_COLUMNS))
-        for r in records:
-            print(r.csv_row())
-        print(
-            f"{len(records)} rows; max residual {fmt_float(max_residual)}",
-            file=sys.stderr,
-        )
+        print(f"{rows} rows; max residual {fmt_float(max_residual)}", file=sys.stderr)
     return 0
 
 
@@ -205,7 +203,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ccrsim`` argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="ccrsim",
         description=(
@@ -254,11 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CcrsimError as exc:
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point fd 1 at devnull so the
+        # interpreter's final flush of what is still buffered cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except (CcrsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

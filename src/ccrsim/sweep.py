@@ -23,15 +23,19 @@ List values are comma-separated; a ``start:stop:count`` entry expands to
 from __future__ import annotations
 
 import math
+import os
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
 from .boost import wigner_angle_grid
 from .errors import ConfigError
 from .measures import ccr_arrays
-from .states import DOFS, ScenarioId, make_scenario
+from .states import DOFS, MultipartiteState, ScenarioId, make_scenario
 
 CSV_COLUMNS = ("scenario", "theta", "phi", "particle", "dof", "P", "C", "S", "sum", "residual")
 
@@ -46,36 +50,6 @@ BLOCK_AMPLITUDES = 1 << 16
 def fmt_float(x: float) -> str:
     """12-significant-digit text form used everywhere a float is emitted."""
     return format(float(x), ".12g")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    scenario: str
-    theta: float
-    phi: float
-    particle: int
-    dof: str
-    predictability: float
-    coherence: float
-    entropy: float
-    total: float
-    residual: float
-
-    def csv_row(self) -> str:
-        return ",".join(
-            (
-                self.scenario,
-                fmt_float(self.theta),
-                fmt_float(self.phi),
-                str(self.particle),
-                self.dof,
-                fmt_float(self.predictability),
-                fmt_float(self.coherence),
-                fmt_float(self.entropy),
-                fmt_float(self.total),
-                fmt_float(self.residual),
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -253,55 +227,126 @@ def build_config(
     )
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the grid; rows ordered (theta asc, phi asc, subsystem asc).
+@dataclass(frozen=True, eq=False)
+class SweepBlock:
+    """One block of whole theta rows of a sweep, as ``(T, F, K)`` columns.
 
-    Whole blocks of theta rows go through ``wigner_angle_grid`` and
-    ``ccr_arrays`` at once, with the checks of ``boost_by_wigner_angle`` and
-    ``ccr``.
+    ``thetas`` (T) and ``phis`` (F) are sorted ascending and ``subsystems``
+    lists the K (particle, dof) pairs in subsystem-index order, so the C order
+    of a column is the CSV row order (theta, phi, subsystem).
+    """
+
+    thetas: tuple[float, ...]
+    phis: tuple[float, ...]
+    subsystems: tuple[tuple[int, str], ...]
+    predictability: np.ndarray
+    coherence: np.ndarray
+    entropy: np.ndarray
+    residual: np.ndarray
+
+    @property
+    def total(self) -> np.ndarray:
+        """P + C + S, summed in that order as each row's ``sum`` column."""
+        return (self.predictability + self.coherence) + self.entropy
+
+
+def run_sweep(config: SweepConfig) -> Iterator[SweepBlock]:
+    """Evaluate the grid lazily, one ``SweepBlock`` of theta rows at a time.
+
+    The scenario is built and the subsystems are resolved when this is
+    called; each block goes through ``wigner_angle_grid`` and ``ccr_arrays``
+    (with the checks of ``boost_by_wigner_angle`` and ``ccr``) only when it
+    is consumed, so a sweep holds one block at a time.
     """
     base = make_scenario(config.scenario, config.p_mag, config.mass)
     if config.subsystems is None:
-        chosen = [(p, dof, idx) for (p, dof, idx) in base.single_dof_subsystems()]
+        chosen = list(base.single_dof_subsystems())
     else:
         chosen = sorted(
             ((p, dof, base.subsystem_index(p, dof)) for (p, dof) in config.subsystems),
             key=lambda t: t[2],
         )
-    scenario = config.scenario.value
     thetas = sorted(config.theta_values)
-    phis = sorted(config.phi_values)
+    phis = tuple(sorted(config.phi_values))
     rows_per_block = max(1, BLOCK_AMPLITUDES // (len(phis) * base.amplitudes.dim))
-    records = []
-    for start in range(0, len(thetas), rows_per_block):
-        block = thetas[start : start + rows_per_block]
-        amps = wigner_angle_grid(base, block, phis)
-        columns = [
-            (particle, dof, [a.tolist() for a in ccr_arrays(amps, base.dims, idx)])
-            for particle, dof, idx in chosen
-        ]
-        for i, theta in enumerate(block):
-            for j, phi in enumerate(phis):
-                for particle, dof, (p, c, s, residual) in columns:
-                    records.append(
-                        SweepRecord(
-                            scenario=scenario,
-                            theta=theta,
-                            phi=phi,
-                            particle=particle,
-                            dof=dof,
-                            predictability=p[i][j],
-                            coherence=c[i][j],
-                            entropy=s[i][j],
-                            total=p[i][j] + c[i][j] + s[i][j],
-                            residual=residual[i][j],
-                        )
-                    )
-    return records
+    return (
+        _evaluate_block(base, chosen, tuple(thetas[start : start + rows_per_block]), phis)
+        for start in range(0, len(thetas), rows_per_block)
+    )
 
 
-def write_csv(records: list[SweepRecord], path: str | Path) -> None:
-    """Write the header plus one line per record; bytes depend only on input."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(r.csv_row() for r in records)
-    Path(path).write_text("\n".join(lines) + "\n")
+def _evaluate_block(
+    base: MultipartiteState,
+    chosen: list[tuple[int, str, int]],
+    thetas: tuple[float, ...],
+    phis: tuple[float, ...],
+) -> SweepBlock:
+    amps = wigner_angle_grid(base, thetas, phis)
+    columns = zip(*(ccr_arrays(amps, base.dims, idx) for _, _, idx in chosen))
+    p, c, s, residual = (np.stack(column, axis=-1) for column in columns)
+    subsystems = tuple((particle, dof) for particle, dof, _ in chosen)
+    return SweepBlock(thetas, phis, subsystems, p, c, s, residual)
+
+
+# The five values of one row; for floats "%.12g" runs the same routine as fmt_float.
+_VALUES_FORMAT = ",".join(["%.12g"] * 5)
+
+
+def _block_text(scenario: str, block: SweepBlock) -> str:
+    """The CSV lines of one block, each ending in a newline.
+
+    Every theta and phi is formatted once; each theta row of the block is
+    then one %-format of the (phi, subsystem) row templates.
+    """
+    columns = (block.predictability, block.coherence, block.entropy, block.total, block.residual)
+    values = np.stack(columns, axis=-1).reshape(len(block.thetas), -1).tolist()
+    tails = [
+        f"{fmt_float(phi)},{particle},{dof},{_VALUES_FORMAT}\n"
+        for phi in block.phis
+        for particle, dof in block.subsystems
+    ]
+    theta_rows = []
+    for theta, theta_values in zip(block.thetas, values):
+        head = f"{scenario},{fmt_float(theta)},"
+        theta_rows.append("".join([head + tail for tail in tails]) % tuple(theta_values))
+    return "".join(theta_rows)
+
+
+def _stream_csv(config: SweepConfig, stream: TextIO) -> tuple[int, float]:
+    blocks = run_sweep(config)
+    scenario = config.scenario.value
+    stream.write(",".join(CSV_COLUMNS) + "\n")
+    rows, max_residual = 0, 0.0
+    for block in blocks:
+        stream.write(_block_text(scenario, block))
+        rows += block.residual.size
+        max_residual = max(max_residual, float(block.residual.max()))
+    return rows, max_residual
+
+
+def write_csv(config: SweepConfig) -> tuple[int, float]:
+    """Stream the sweep of ``config`` as CSV; return (row count, max residual).
+
+    The header and then each block's text go out as soon as they are made:
+    to ``config.out`` when it is set, else to ``sys.stdout`` as it is at the
+    time of the call.  ``config.out`` is all-or-nothing: the rows go to a
+    temporary file beside it, which replaces it only once every block has
+    been written, and is removed if the sweep fails.  Bytes depend only on
+    the configuration.
+    """
+    if not config.out:
+        return _stream_csv(config, sys.stdout)
+    path = Path(config.out)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        stream = open(partial, "x")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {config.out!r}: {exc.strerror}") from None
+    try:
+        with stream:
+            counts = _stream_csv(config, stream)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return counts

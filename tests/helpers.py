@@ -8,10 +8,17 @@ partial-trace code, so agreement with the library is a genuine cross-check.
 Conventions match the scenario builders: each particle carries a two-mode
 momentum factor ordered (+p y-hat, -p y-hat) and a spin-1/2 factor, with the
 tensor order (momentum_A, spin_A, momentum_B, spin_B).
+
+The sweep-record section at the end is the reference for the streamed CSV
+writer: it expands ``run_sweep`` blocks into one record per row, sums
+``P + C + S`` in Python and formats every field with its own
+``format(x, ".12g")``, the way each row was printed before the sweep was
+streamed.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -336,3 +343,76 @@ def wigner_angle_mp(boost, p, digits=60):
         cos_half = mpmath.cosh(half_w) * mpmath.cosh(half_a) + sh_sh * dot
         sin_half = sh_sh * mpmath.sqrt(sum(x * x for x in cross))
         return float(2 * mpmath.atan2(sin_half, cos_half))
+
+
+# ---------------------------------------------------------------------------
+# Reference rendering of sweep rows.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    scenario: str
+    theta: float
+    phi: float
+    particle: int
+    dof: str
+    predictability: float
+    coherence: float
+    entropy: float
+    total: float
+    residual: float
+
+    def csv_row(self):
+        return ",".join(
+            (
+                self.scenario,
+                format(self.theta, ".12g"),
+                format(self.phi, ".12g"),
+                str(self.particle),
+                self.dof,
+                format(self.predictability, ".12g"),
+                format(self.coherence, ".12g"),
+                format(self.entropy, ".12g"),
+                format(self.total, ".12g"),
+                format(self.residual, ".12g"),
+            )
+        )
+
+
+def sweep_records(config):
+    """One record per row of ``run_sweep(config)``, in row order."""
+    from ccrsim.sweep import run_sweep
+
+    records = []
+    for block in run_sweep(config):
+        columns = [
+            a.tolist()
+            for a in (block.predictability, block.coherence, block.entropy, block.residual)
+        ]
+        for i, theta in enumerate(block.thetas):
+            for j, phi in enumerate(block.phis):
+                for k, (particle, dof) in enumerate(block.subsystems):
+                    p, c, s, residual = (column[i][j][k] for column in columns)
+                    records.append(
+                        SweepRecord(
+                            scenario=config.scenario.value,
+                            theta=theta,
+                            phi=phi,
+                            particle=particle,
+                            dof=dof,
+                            predictability=p,
+                            coherence=c,
+                            entropy=s,
+                            total=p + c + s,
+                            residual=residual,
+                        )
+                    )
+    return records
+
+
+def sweep_csv_text(records):
+    """The CSV text of ``records``: the header, then one line per record."""
+    from ccrsim.sweep import CSV_COLUMNS
+
+    return "\n".join([",".join(CSV_COLUMNS)] + [r.csv_row() for r in records]) + "\n"

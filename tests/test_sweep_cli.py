@@ -1,12 +1,19 @@
 """Tests for sweep configuration, CSV output, and the command line."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccrsim
 from ccrsim import (
     ConfigError,
+    NormNotPreserved,
     ScenarioId,
     boost_by_wigner_angle,
     boost_direction,
@@ -23,9 +30,9 @@ from ccrsim.sweep import (
     load_config_file,
     parse_subsystems,
     parse_value_list,
-    run_sweep,
     write_csv,
 )
+import helpers
 
 HALF_PI = math.pi / 2.0
 
@@ -147,7 +154,7 @@ def test_run_sweep_rows_and_order():
         phi_values=(0.5, 0.0),
         subsystems=None,
     )
-    records = run_sweep(config)
+    records = helpers.sweep_records(config)
     assert len(records) == 2 * 2 * 4
     thetas = [r.theta for r in records]
     assert thetas == sorted(thetas)
@@ -171,7 +178,7 @@ def test_run_sweep_values_match_direct_evaluation():
         phi_values=(0.8,),
         subsystems=((0, "spin"),),
     )
-    (record,) = run_sweep(config)
+    (record,) = helpers.sweep_records(config)
     state = make_scenario(ScenarioId.PSI)
     boosted = boost_by_wigner_angle(state, 0.8, boost_direction(HALF_PI))
     triple = ccr(boosted, state.subsystem_index(0, "spin"))
@@ -192,7 +199,7 @@ def test_run_sweep_matches_per_state_route(scenario):
     config = SweepConfig(
         scenario=scenario, theta_values=thetas, phi_values=phis, p_mag=p_mag, mass=mass
     )
-    records = run_sweep(config)
+    records = helpers.sweep_records(config)
     base = make_scenario(scenario, p_mag, mass)
     expected = []
     for theta in sorted(thetas):
@@ -227,9 +234,9 @@ def test_run_sweep_block_boundaries_leave_csv_unchanged(monkeypatch, tmp_path, r
         phi_values=tuple(float(x) for x in np.linspace(0.0, HALF_PI, 9)),
     )
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
-    write_csv(run_sweep(config), whole)
+    whole.write_text(helpers.sweep_csv_text(helpers.sweep_records(config)))
     monkeypatch.setattr(sweep, "BLOCK_AMPLITUDES", rows_per_block * 9 * 16)
-    write_csv(run_sweep(config), blocked)
+    blocked.write_text(helpers.sweep_csv_text(helpers.sweep_records(config)))
     assert whole.read_bytes() == blocked.read_bytes()
 
 
@@ -237,10 +244,10 @@ def test_write_csv_layout_and_determinism(tmp_path):
     config = SweepConfig(
         scenario=ScenarioId.XI, theta_values=(0.0, 0.3), phi_values=(0.0, 0.2)
     )
-    records = run_sweep(config)
+    records = helpers.sweep_records(config)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(records, a)
-    write_csv(run_sweep(config), b)
+    write_csv(dataclasses.replace(config, out=str(a)))
+    b.write_text(helpers.sweep_csv_text(helpers.sweep_records(config)))
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -255,8 +262,34 @@ def test_run_sweep_predictability_is_never_negative(scenario):
     # sum_i rho_ii^2 - 1/d printed values down to -2.2e-16 on these grids.
     grid = tuple(float(x) for x in np.linspace(0.0, HALF_PI, 33))
     phis = tuple(float(x) for x in np.linspace(0.0, HALF_PI, 65))
-    records = run_sweep(SweepConfig(scenario, grid, phis))
+    records = helpers.sweep_records(SweepConfig(scenario, grid, phis))
     assert min(r.predictability for r in records) >= 0.0
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_write_csv_streams_the_reference_bytes(monkeypatch, tmp_path, capsys, scenario, rows_per_block):
+    # The streamed writer must print exactly what one format per field of
+    # every record prints, to a file and to stdout, whatever the block size
+    # (None: the whole grid is one block).
+    config = SweepConfig(
+        scenario,
+        tuple(float(x) for x in np.linspace(0.0, HALF_PI, 7)),
+        tuple(float(x) for x in np.linspace(0.0, HALF_PI, 9)),
+        p_mag=1.7,
+        mass=0.6,
+    )
+    records = helpers.sweep_records(config)
+    expected = helpers.sweep_csv_text(records)
+    counts = (len(records), max(r.residual for r in records))
+    if rows_per_block is not None:
+        dim = make_scenario(scenario).amplitudes.dim
+        monkeypatch.setattr(sweep, "BLOCK_AMPLITUDES", rows_per_block * 9 * dim)
+    out = tmp_path / "rows.csv"
+    assert write_csv(dataclasses.replace(config, out=str(out))) == counts
+    assert out.read_bytes() == expected.encode()
+    assert write_csv(config) == counts
+    assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +418,106 @@ def test_cli_check_reports_failure_with_injected_fault(monkeypatch, capsys):
     assert "ccr-identity-grid" in captured.err
 
 
+def test_cli_sweep_stops_quietly_when_stdout_is_closed(tmp_path):
+    # 100 x 100 x 4 rows are megabytes of CSV, far beyond a pipe's buffer, so
+    # the writer is still writing when the reader goes away after one line.
+    env = dict(os.environ)
+    src = str(Path(ccrsim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["sweep", "--id", "upsilon", "--theta", "0:1.5:100", "--phi", "0:1.5:100"]
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err_file:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ccrsim.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=err_file,
+            env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"scenario,theta,phi,particle,dof,P,C,S,sum,residual\n"
+            proc.stdout.close()
+            rc = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    err = err_path.read_text()
+    assert rc == 141, err  # 128 + SIGPIPE, not the failed-battery 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_cli_reports_file_errors_as_bad_parameters(tmp_path, monkeypatch, capsys):
+    rc = cli.main(["sweep", "--config", str(tmp_path / "missing.cfg")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "missing.cfg" in captured.err
+
+    # An --out that cannot be written is refused before any grid work.
+    def no_grid(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(sweep, "wigner_angle_grid", no_grid)
+    out = tmp_path / "no-such-dir" / "rows.csv"
+    rc = cli.main(["sweep", "--id", "psi", "--theta", "0", "--phi", "0,0.5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "no-such-dir" in captured.err
+
+
+@pytest.mark.parametrize("previous", [None, b"previous file\n"])
+def test_cli_sweep_that_fails_leaves_out_as_it_was(monkeypatch, tmp_path, capsys, previous):
+    out = tmp_path / "rows.csv"
+    if previous is not None:
+        out.write_bytes(previous)
+    monkeypatch.setattr(sweep, "BLOCK_AMPLITUDES", 3 * 16)  # one upsilon theta row
+    real = sweep.wigner_angle_grid
+    blocks = []
+
+    def second_block_fails(*args):
+        blocks.append(args)
+        if len(blocks) == 2:
+            raise NormNotPreserved("injected failure in block 2")
+        return real(*args)
+
+    monkeypatch.setattr(sweep, "wigner_angle_grid", second_block_fails)
+    argv = ["sweep", "--id", "upsilon", "--theta", "0,0.5,1", "--phi", "0,0.5,1"]
+    rc = cli.main(argv + ["--out", str(out)])
+    assert rc == 2
+    assert "injected failure in block 2" in capsys.readouterr().err
+    assert len(blocks) == 2
+    assert list(tmp_path.iterdir()) == ([] if previous is None else [out])
+    if previous is not None:
+        assert out.read_bytes() == previous
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    monkeypatch.delenv("CCR_SEED", raising=False)
+    calls = [
+        ["sweep", "--id", "xi", "--theta", "0,1", "--phi", "0,1.5", "--degrees"],
+        ["sweep", "--id", "xi", "--theta", "0,1", "--phi", "0,1.5"],
+        ["wigner", "--velocity", "0.6", "--e-dir", "0,0,1"],
+        ["wigner", "--velocity", "0.6"],
+        ["check"],
+    ]
+
+    def run(argv):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(run(argv))
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == first
+    assert cli.build_parser.cache_info().misses == 1
+    assert first[0] != first[1] and first[2] != first[3]
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep", "--theta"])
+    assert err.value.code == 2
+
+
 def test_cli_check_env_seed_must_be_int(monkeypatch, capsys):
     monkeypatch.setenv("CCR_SEED", "not-a-number")
     rc = cli.main(["check"])
@@ -402,9 +535,9 @@ def test_run_all_checks_passes_quick_seed():
 def test_sweep_config_accepts_a_scenario_name():
     config = SweepConfig("upsilon", (0.0, 0.4), (0.1, 0.9))
     assert config.scenario is ScenarioId.UPSILON
-    by_enum = run_sweep(SweepConfig(ScenarioId.UPSILON, (0.0, 0.4), (0.1, 0.9)))
-    assert run_sweep(config) == by_enum
-    assert run_sweep(SweepConfig("upsilon", (0.0,), (0.1,)))[0].scenario == "upsilon"
+    by_enum = helpers.sweep_records(SweepConfig(ScenarioId.UPSILON, (0.0, 0.4), (0.1, 0.9)))
+    assert helpers.sweep_records(config) == by_enum
+    assert helpers.sweep_records(SweepConfig("upsilon", (0.0,), (0.1,)))[0].scenario == "upsilon"
 
 
 def test_sweep_config_refuses_an_unknown_scenario_name():

@@ -16,21 +16,27 @@ momenta untouched and only retags the mode tokens.
 Both routes hand one ``(M, 2, 2)`` stack of D matrices per particle to
 ``linalg.apply_controlled``, which contracts each into that particle's
 (momentum, spin) axes of the amplitude tensor; the dense controlled unitary
-is never formed.  ``wigner_angle_grid`` boosts a state over a whole
-(theta, phi) grid at once, which is how ``sweep`` evaluates its blocks and
-the check battery its xi2 suites.
+is never formed.  ``physical_stacks`` builds the D matrices of the physical
+route for a whole batch of boosts at once: ``apply_boost`` makes one call
+for all its particles of one mode count, and the check battery one call for
+all draws of a random-boost suite.
+``wigner_angle_grid`` boosts a state over a whole (theta, phi) grid at once,
+which is how ``sweep`` evaluates its blocks and the check battery its xi2
+suites.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BadPhysicalParams
+from .errors import BadPhysicalParams, DimensionMismatch
 from .linalg import StateVector, apply_controlled
 from .relativity import (
     BoostSpec,
+    FourMomentum,
     _wigner_angle_axis,
     boost_matrix,
     boost_momentum,
@@ -61,6 +67,29 @@ def _boosted(
     return MultipartiteState(tuple(particles), StateVector(state.dims, amps))
 
 
+def physical_stacks(
+    boosts: Sequence[BoostSpec], momenta: Sequence[Sequence[FourMomentum]]
+) -> np.ndarray:
+    """Spin rotations D(W(boost, p)) of a batch of boosts, ``(B, M, 2, 2)``.
+
+    Boost ``b`` acts on the M mode momenta ``momenta[b]``; every row must
+    list the same number of modes.  Each angle and axis comes from the
+    per-mode closed form (``relativity._wigner_angle_axis``), and one
+    ``su2_rotations`` call builds and validates the whole stack.
+    """
+    n_modes = {len(row) for row in momenta}
+    if len(boosts) != len(momenta) or len(n_modes) != 1 or 0 in n_modes:
+        raise DimensionMismatch(
+            f"need one non-empty mode list of a common length per boost, got "
+            f"{len(boosts)} boosts and mode counts {sorted(n_modes)}"
+        )
+    shape = (len(boosts), n_modes.pop())
+    angles, axes = zip(
+        *(_wigner_angle_axis(boost, p) for boost, row in zip(boosts, momenta) for p in row)
+    )
+    return su2_rotations(np.array(angles).reshape(shape), np.array(axes).reshape(shape + (3,)))
+
+
 def apply_boost(state: MultipartiteState, boost: BoostSpec) -> MultipartiteState:
     """Boost a state physically: new momenta, Wigner-rotated spins.
 
@@ -69,13 +98,18 @@ def apply_boost(state: MultipartiteState, boost: BoostSpec) -> MultipartiteState
     each other.
     """
     lam = boost_matrix(boost)
-    new_particles = []
-    stacks = []
-    for particle in state.particles:
-        momenta = [m.momentum for m in particle.modes]
-        new_particles.append(_retagged(particle, [boost_momentum(lam, p) for p in momenta]))
-        angles, axes = zip(*(_wigner_angle_axis(boost, p) for p in momenta))
-        stacks.append(su2_rotations(np.array(angles), np.array(axes)))
+    rows = [[m.momentum for m in particle.modes] for particle in state.particles]
+    new_particles = [
+        _retagged(particle, [boost_momentum(lam, p) for p in row])
+        for particle, row in zip(state.particles, rows)
+    ]
+    # One physical_stacks call per distinct mode count.
+    stacks = [None] * len(rows)
+    for n_modes in {len(row) for row in rows}:
+        group = [k for k, row in enumerate(rows) if len(row) == n_modes]
+        batch = physical_stacks([boost] * len(group), [rows[k] for k in group])
+        for k, stack in zip(group, batch):
+            stacks[k] = stack
     return _boosted(state, new_particles, stacks)
 
 

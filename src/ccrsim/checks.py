@@ -3,6 +3,11 @@
 Each suite reports its worst deviation against its tolerance, so a regression
 shows up as a number rather than just a boolean.  Random suites draw from one
 sequentially consumed generator; a fixed seed reproduces the run exactly.
+The suites that boost or reduce random states draw their inputs one by one
+and then evaluate them as one batch (``physical_stacks``,
+``apply_controlled``, ``reduced_matrices``, the multi-index core).  The
+measures are looked up on their modules at call time, so a measure replaced
+at run time reaches every suite that uses it.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, measures
-from .boost import apply_boost, wigner_angle_grid
+from .boost import physical_stacks, wigner_angle_grid
 from .linalg import StateVector, kron, outer, partial_trace, purity
-from .measures import ccr, concurrence_momentum_x, linear_entropy
+from .measures import ccr, concurrence_momentum_x
 from .relativity import (
     METRIC,
     BoostSpec,
@@ -26,13 +31,7 @@ from .relativity import (
     wigner_oracle,
     wigner_rotation,
 )
-from .states import (
-    SPIN,
-    ScenarioId,
-    make_product_state,
-    make_scenario,
-    reduced_density_matrix,
-)
+from .states import SPIN, ScenarioId, make_scenario, reduced_density_matrix
 from .sweep import SweepBlock, SweepConfig, run_sweep
 
 DEFAULT_SEED = 1905
@@ -189,32 +188,36 @@ def _check_collinear_identity(rng: np.random.Generator) -> SuiteResult:
 
 
 def _check_boost_purity(rng: np.random.Generator) -> SuiteResult:
-    dev = 0.0
+    # Two particles, each two random modes in a random superposition times a
+    # random spin, under one random boost per draw.
+    amplitudes, momenta, boosts = [], ([], []), []
     for _ in range(50):
-        momenta = []
-        for _ in range(2):
+        mode_amps = []
+        for modes in momenta:
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-            amps /= np.linalg.norm(amps)
-            momenta.append(
-                [
-                    ("a", _random_momentum(rng), complex(amps[0])),
-                    ("b", _random_momentum(rng), complex(amps[1])),
-                ]
-            )
-        state = make_product_state(momenta, [_random_spin_pair(rng) for _ in range(2)])
-        boosted = apply_boost(state, _random_boost(rng))
-        dev = max(dev, abs(float(np.linalg.norm(boosted.vector)) - 1.0))
+            mode_amps.append(amps / np.linalg.norm(amps))
+            modes.append([_random_momentum(rng), _random_momentum(rng)])
+        (m_a, m_b), (s_a, s_b) = mode_amps, [_random_spin_pair(rng) for _ in range(2)]
+        amplitudes.append(np.kron(np.kron(m_a, s_a), np.kron(m_b, s_b)))
+        boosts.append(_random_boost(rng))
+    stacks = [physical_stacks(boosts, modes) for modes in momenta]
+    boosted = linalg.apply_controlled(np.array(amplitudes), (2, 2, 2, 2), stacks)
+    dev = float(np.max(np.abs(np.linalg.norm(boosted, axis=-1) - 1.0)))
     return _result("boost-purity-preservation", dev, 1e-10)
 
 
 def _check_single_momentum_separability(rng: np.random.Generator) -> SuiteResult:
-    dev = 0.0
+    # One particle with one momentum mode: the boost is a spin rotation, so
+    # the spin must stay pure.
+    momenta, spins, boosts = [], [], []
     for _ in range(500):
-        state = make_product_state(
-            [[("k", _random_momentum(rng), 1.0)]], [_random_spin_pair(rng)]
-        )
-        boosted = apply_boost(state, _random_boost(rng))
-        dev = max(dev, linear_entropy(reduced_density_matrix(boosted, {1})))
+        momenta.append([_random_momentum(rng)])
+        spins.append(_random_spin_pair(rng))
+        boosts.append(_random_boost(rng))
+    boosted = linalg.apply_controlled(np.array(spins), (1, 2), [physical_stacks(boosts, momenta)])
+    rho = measures.reduced_matrices(boosted, (1, 2), 1)
+    linalg.check_density_matrices(rho)
+    dev = max(0.0, float(np.max(measures.linear_entropy(rho))))
     return _result("single-momentum-separability", dev, 1e-12)
 
 
@@ -308,13 +311,12 @@ def _check_measure_ranges(grid: _Grid) -> SuiteResult:
 def _check_entropy_multiindex(rng: np.random.Generator) -> SuiteResult:
     dev = 0.0
     for dims in ((2, 2, 2), (2, 2, 2, 2)):
-        for _ in range(100):
-            psi = _random_state(rng, dims)
-            rho = outer(psi)
-            for sub in range(len(dims)):
-                direct = measures.linear_entropy_multiindex(psi, sub)
-                reduced = 1.0 - purity(partial_trace(rho, {sub}))
-                dev = max(dev, abs(direct - reduced))
+        amps = np.array([_random_state(rng, dims).amplitudes for _ in range(100)])
+        for sub in range(len(dims)):
+            direct = measures.linear_entropy_multiindex_arrays(amps, dims, sub)
+            rho = measures.reduced_matrices(amps, dims, sub)
+            linalg.check_density_matrices(rho)
+            dev = max(dev, float(np.max(np.abs(direct - (1.0 - purity(rho))))))
     return _result("entropy-multiindex-equivalence", dev, 1e-12)
 
 

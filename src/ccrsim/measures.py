@@ -15,7 +15,8 @@ for every subsystem of every pure state.  Each term alone is basis- and
 frame-dependent; the sum is not.
 
 ``linear_entropy_multiindex`` evaluates S_l of factor 1 of a pure state
-straight from global matrix elements:
+(``linear_entropy_multiindex_arrays`` of a batch of them) straight from
+global matrix elements:
 
     S_l = sum_{i1 != j1} sum_{I != J} ( |rho_{i1 I, j1 J}|^2
                                         - rho_{i1 I, j1 I} rho*_{i1 J, j1 J} )
@@ -158,26 +159,43 @@ def ccr_arrays(
     return _triple(rho)
 
 
-def linear_entropy_multiindex(state: MultipartiteState | StateVector, subsystem: int) -> float:
-    """S_l of one factor evaluated as the double multi-index sum.
+def linear_entropy_multiindex_arrays(
+    amplitudes: np.ndarray, dims: tuple[int, ...], subsystem: int
+) -> np.ndarray:
+    """S_l of one factor over a batch of pure states, as the double multi-index sum.
 
-    Works directly on global elements rho_{A,B} = v_A conj(v_B), indexed as
-    rho[i1, j1, I, J] and summed under one boolean mask (i1 != j1, I != J);
-    no reduced matrix and no partial trace are involved.
+    ``amplitudes`` has shape ``(..., prod(dims))``; the result has the leading
+    shape.  Works directly on global elements rho_{A,B} = v_A conj(v_B),
+    indexed as rho[..., i1, j1, I, J] and summed under one boolean mask
+    (i1 != j1, I != J); no reduced matrix and no partial trace are involved.
     """
-    sv = _as_state_vector(state)
-    dims = sv.dims
+    dims = tuple(dims)
     if not 0 <= subsystem < len(dims):
         raise BadSubsystemIndex(f"subsystem {subsystem} out of range for {len(dims)} factors")
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if amplitudes.shape[-1:] != (math.prod(dims),):
+        raise DimensionMismatch(f"amplitudes {amplitudes.shape} do not fit factor dims {dims}")
+    batch = amplitudes.shape[:-1]
     d = dims[subsystem]
-    v = sv.amplitudes.reshape(math.prod(dims[:subsystem]), d, -1)
-    v = np.moveaxis(v, 1, 0).reshape(d, -1)  # v[i1, I]
-    rest = v.shape[1]
-    rho = np.multiply.outer(v, v.conj()).transpose(0, 2, 1, 3)  # rho[i1, j1, I, J]
-    same = np.einsum("ijII->ijI", rho)  # rho_{i1 I, j1 I}
-    terms = np.abs(rho) ** 2 - same[:, :, :, None] * same[:, :, None, :].conj()
+    v = amplitudes.reshape(batch + (math.prod(dims[:subsystem]), d, -1))
+    v = np.moveaxis(v, -2, -3).reshape(batch + (d, -1))  # v[..., i1, I]
+    rest = v.shape[-1]
+    # |rho_{i1 I, j1 J}|^2 = |v_{i1 I}|^2 |v_{j1 J}|^2, and the product term
+    # of (I, J) is the conjugate of that of (J, I), so the sum needs only
+    # real parts: ``terms`` is real and indexed [..., i1, j1, I, J].
+    p = v.real**2 + v.imag**2
+    same = v[..., :, None, :] * v.conj()[..., None, :, :]  # rho_{i1 I, j1 I}
+    terms = p[..., :, None, :, None] * p[..., None, :, None, :]
+    terms -= same.real[..., None] * same.real[..., None, :]
+    terms -= same.imag[..., None] * same.imag[..., None, :]
     off = ~np.eye(d, dtype=bool)[:, :, None, None] & ~np.eye(rest, dtype=bool)
-    return float(np.sum(terms[off]).real)
+    return np.sum(terms[..., off], axis=-1)
+
+
+def linear_entropy_multiindex(state: MultipartiteState | StateVector, subsystem: int) -> float:
+    """S_l of one factor of one pure state (``linear_entropy_multiindex_arrays``)."""
+    sv = _as_state_vector(state)
+    return float(linear_entropy_multiindex_arrays(sv.amplitudes, sv.dims, subsystem))
 
 
 def concurrence_pure(state: MultipartiteState | StateVector, subsystem: int) -> float:
@@ -187,10 +205,18 @@ def concurrence_pure(state: MultipartiteState | StateVector, subsystem: int) -> 
 
 
 def concurrence_momentum_x(rho: DensityMatrix) -> float:
-    """Concurrence E = sqrt(2 C_hs) of a two-mode-pair X-shaped mixed state.
+    """Wootters concurrence of a two-mode-pair X-shaped mixed state.
 
     ``rho`` must be a 4x4 matrix over dims (2, 2); any weight beyond the
-    diagonal / anti-diagonal X pattern (above 1e-10) raises NotXShaped.
+    diagonal / anti-diagonal X pattern (above 1e-10) raises NotXShaped.  For
+    an X state the concurrence has the closed form
+
+        E = 2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)).
+
+    Where rho_00 rho_33 = 0, positivity forces rho_03 = 0 and E reduces to
+    2 |rho_12| = sqrt(2 C_hs).  Every momentum pair the scenarios produce has
+    rho_00 = rho_33 = 0 (the two particles never share a momentum), which is
+    why ``ccrsim scenario`` labels the value ``E = sqrt(2 C_hs)``.
     """
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"expected a (2, 2) mode-pair matrix, got dims {rho.dims}")
@@ -200,4 +226,9 @@ def concurrence_momentum_x(rho: DensityMatrix) -> float:
         for j in range(4):
             if (i, j) not in allowed and abs(m[i, j]) > _X_TOL:
                 raise NotXShaped(f"entry ({i}, {j}) = {m[i, j]!r} breaks the X pattern")
-    return math.sqrt(2.0 * coherence_hs(rho))
+    p = m.diagonal().real.tolist()
+    return 2.0 * max(
+        0.0,
+        abs(complex(m[1, 2])) - math.sqrt(max(0.0, p[0] * p[3])),
+        abs(complex(m[0, 3])) - math.sqrt(max(0.0, p[1] * p[2])),
+    )

@@ -9,6 +9,11 @@ Conventions match the scenario builders: each particle carries a two-mode
 momentum factor ordered (+p y-hat, -p y-hat) and a spin-1/2 factor, with the
 tensor order (momentum_A, spin_A, momentum_B, spin_B).
 
+The check-suite section holds the per-draw forms of the random-boost and
+multi-index suites of ``ccrsim check``, the references for their batched
+forms: one state object, one boost and one reduction per draw, in the same
+rng order.
+
 The sweep-record section at the end is the reference for the streamed CSV
 writer: it expands ``run_sweep`` blocks into one record per row, sums
 ``P + C + S`` in Python and formats every field with its own
@@ -343,6 +348,90 @@ def wigner_angle_mp(boost, p, digits=60):
         cos_half = mpmath.cosh(half_w) * mpmath.cosh(half_a) + sh_sh * dot
         sin_half = sh_sh * mpmath.sqrt(sum(x * x for x in cross))
         return float(2 * mpmath.atan2(sin_half, cos_half))
+
+
+# ---------------------------------------------------------------------------
+# Per-draw references for the batched check suites.
+# ---------------------------------------------------------------------------
+
+
+def apply_boost_loop(state, boost):
+    """Amplitudes of ``apply_boost``, one ``su2_rotations`` call per particle.
+
+    Each particle's stack is built from the per-mode closed form
+    ``_wigner_angle_axis``, the way ``apply_boost`` built it before the
+    batched ``physical_stacks``.
+    """
+    from ccrsim.linalg import apply_controlled
+    from ccrsim.relativity import _wigner_angle_axis, su2_rotations
+
+    stacks = []
+    for particle in state.particles:
+        angles, axes = zip(*(_wigner_angle_axis(boost, m.momentum) for m in particle.modes))
+        stacks.append(su2_rotations(np.array(angles), np.array(axes)))
+    return apply_controlled(state.vector, state.dims, stacks)
+
+
+def boost_purity_loop(rng):
+    """Max deviation of ``boost-purity-preservation``, state by state."""
+    from ccrsim.boost import apply_boost
+    from ccrsim.checks import _random_boost, _random_momentum, _random_spin_pair
+    from ccrsim.states import make_product_state
+
+    dev = 0.0
+    for _ in range(50):
+        momenta = []
+        for _ in range(2):
+            amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+            amps /= np.linalg.norm(amps)
+            momenta.append(
+                [
+                    ("a", _random_momentum(rng), complex(amps[0])),
+                    ("b", _random_momentum(rng), complex(amps[1])),
+                ]
+            )
+        state = make_product_state(momenta, [_random_spin_pair(rng) for _ in range(2)])
+        boosted = apply_boost(state, _random_boost(rng))
+        dev = max(dev, abs(float(np.linalg.norm(boosted.vector)) - 1.0))
+    return dev
+
+
+def single_momentum_separability_loop(rng):
+    """Max deviation of ``single-momentum-separability``, state by state."""
+    from ccrsim.boost import apply_boost
+    from ccrsim.checks import _random_boost, _random_momentum, _random_spin_pair
+    from ccrsim.measures import linear_entropy
+    from ccrsim.states import make_product_state, reduced_density_matrix
+
+    dev = 0.0
+    for _ in range(500):
+        state = make_product_state(
+            [[("k", _random_momentum(rng), 1.0)]], [_random_spin_pair(rng)]
+        )
+        boosted = apply_boost(state, _random_boost(rng))
+        dev = max(dev, linear_entropy(reduced_density_matrix(boosted, {1})))
+    return dev
+
+
+def entropy_multiindex_loop(rng):
+    """Max deviation of ``entropy-multiindex-equivalence``, state by state.
+
+    The reduced side is the dense route: ``outer`` and ``partial_trace``.
+    """
+    from ccrsim.checks import _random_state
+    from ccrsim.linalg import outer, partial_trace, purity
+    from ccrsim.measures import linear_entropy_multiindex
+
+    dev = 0.0
+    for dims in ((2, 2, 2), (2, 2, 2, 2)):
+        for _ in range(100):
+            psi = _random_state(rng, dims)
+            rho = outer(psi)
+            for sub in range(len(dims)):
+                direct = linear_entropy_multiindex(psi, sub)
+                reduced = 1.0 - purity(partial_trace(rho, {sub}))
+                dev = max(dev, abs(direct - reduced))
+    return dev
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@
   bit for bit against the single-factor einsum it generalises;
 * ``linear_entropy_multiindex`` against its loop form in ``helpers``;
 * the two xi2 check suites against per-cell boosts and reductions;
+* ``physical_stacks`` and ``apply_boost`` against the per-mode stack build,
+  and the three random-draw check suites against their per-draw forms in
+  ``helpers``;
 * ``_wigner_angle_axis`` against the same formula written with ``np.cross``.
 """
 
@@ -17,19 +20,28 @@ from ccrsim import (
     BadSubsystemIndex,
     BoostSpec,
     DensityMatrix,
+    DimensionMismatch,
     FourMomentum,
     ScenarioId,
     StateVector,
+    apply_boost,
     boost_by_wigner_angle,
     boost_direction,
     concurrence_momentum_x,
     linear_entropy_multiindex,
+    make_product_state,
     make_scenario,
     reduced_density_matrix,
 )
 from ccrsim import checks, linalg, measures
+from ccrsim.boost import physical_stacks
 from ccrsim.linalg import reduce_factor
-from ccrsim.relativity import _DEFAULT_AXIS, _wigner_angle_axis, momentum_rapidity
+from ccrsim.relativity import (
+    _DEFAULT_AXIS,
+    _wigner_angle_axis,
+    momentum_rapidity,
+    su2_rotations,
+)
 
 import helpers
 
@@ -172,6 +184,88 @@ def test_xi2_suites_report_the_per_cell_deviations():
     rises = max(0.0, max(b - a for a, b in zip(values, values[1:])))
     suite = checks._check_xi2_concurrence_monotonic()
     assert suite.passed and abs(suite.max_deviation - rises) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# physical boosts: one stack builder, and the batched check suites
+# ---------------------------------------------------------------------------
+
+
+def random_mode_momentum(rng, direction):
+    """A mode momentum that is generic, near-collinear with ``direction`` or at rest."""
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        p_vec = rng.normal(size=3) * rng.uniform(0.01, 3.0)
+    elif kind == 1:
+        p_vec = direction * rng.uniform(-3.0, 3.0) + rng.normal(size=3) * 1e-10
+    else:
+        p_vec = np.zeros(3)
+    return FourMomentum.from_spatial(rng.uniform(0.5, 2.0), p_vec)
+
+
+def test_physical_stacks_equal_the_per_mode_build_bit_for_bit():
+    rng = np.random.default_rng(20261020)
+    for n_boosts, n_modes in ((1, 1), (7, 3), (40, 2)):
+        # Every fifth boost has rapidity 0, where the closed form returns the identity.
+        boosts = [
+            BoostSpec(0.0 if n % 5 == 0 else rng.uniform(0.0, 50.0), checks._random_unit3(rng))
+            for n in range(n_boosts)
+        ]
+        momenta = [
+            [random_mode_momentum(rng, boost.direction) for _ in range(n_modes)]
+            for boost in boosts
+        ]
+        stacks = physical_stacks(boosts, momenta)
+        assert stacks.shape == (n_boosts, n_modes, 2, 2)
+        for b, (boost, row) in enumerate(zip(boosts, momenta)):
+            for m, p in enumerate(row):
+                assert np.array_equal(stacks[b, m], su2_rotations(*_wigner_angle_axis(boost, p)))
+
+
+def test_physical_stacks_refuse_mismatched_batches():
+    boost = BoostSpec(1.0, [1.0, 0.0, 0.0])
+    p = FourMomentum.from_spatial(1.0, [0.0, 1.0, 0.0])
+    for boosts, momenta in (([boost], []), ([boost, boost], [[p], [p, p]]), ([boost], [[]])):
+        with pytest.raises(DimensionMismatch):
+            physical_stacks(boosts, momenta)
+
+
+# Mode counts per particle: the boost-large shapes (3x2, 2x4, 4x2) and one
+# state whose particles differ in mode count.
+@pytest.mark.parametrize("mode_counts", [(2, 2, 2), (4, 4), (2, 2, 2, 2), (1, 3, 2, 3)])
+def test_apply_boost_amplitudes_equal_the_per_particle_loop(mode_counts):
+    rng = np.random.default_rng(list(mode_counts))
+    for _ in range(5):
+        momenta, spins = [], []
+        for n_modes in mode_counts:
+            mass = rng.uniform(0.5, 2.0)
+            modes = []
+            for m, a in enumerate(random_amplitudes(rng, (n_modes,))):
+                p_vec = rng.uniform(0.1, 3.0) * checks._random_unit3(rng)
+                modes.append((f"k{m}", FourMomentum.from_spatial(mass, p_vec), complex(a)))
+            momenta.append(modes)
+            spins.append(tuple(complex(a) for a in random_amplitudes(rng, (2,))))
+        state = make_product_state(momenta, spins)
+        boost = BoostSpec(rng.uniform(0.0, 5.0), checks._random_unit3(rng))
+        assert np.array_equal(apply_boost(state, boost).vector, helpers.apply_boost_loop(state, boost))
+
+
+@pytest.mark.parametrize(
+    "suite, loop",
+    [
+        (checks._check_boost_purity, helpers.boost_purity_loop),
+        (checks._check_single_momentum_separability, helpers.single_momentum_separability_loop),
+        (checks._check_entropy_multiindex, helpers.entropy_multiindex_loop),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7, 11, 1905, 20261020])
+def test_batched_check_suites_match_their_per_draw_forms(suite, loop, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    result = suite(rng)
+    reference = loop(ref_rng)
+    assert result.passed
+    assert abs(result.max_deviation - reference) <= 1e-15
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,53 @@ def test_concurrence_momentum_x_on_boosted_xi2():
         assert abs(concurrence_momentum_x(rho) - math.cos(phi) ** 2) < 1e-12
 
 
+def test_concurrence_momentum_x_is_zero_on_a_separable_x_state():
+    # I/4 + (|01><10| + h.c.)/4: its partial transpose has eigenvalues
+    # {0, 1/4, 1/4, 1/2}, so it is separable, yet C_hs = 1/8.
+    sep = np.eye(4) / 4.0
+    sep[1, 2] = sep[2, 1] = 0.25
+    assert concurrence_momentum_x(rho_of(sep, dims=(2, 2))) == 0.0
+
+
+def random_x_state(rng, zero=None):
+    """Random X-shaped density matrix; ``zero`` names a diagonal entry set to 0."""
+    p = rng.dirichlet(np.ones(4))
+    if zero is not None:
+        p[zero] = 0.0
+        p /= p.sum()
+    m = np.diag(p).astype(complex)
+    for i, j in ((1, 2), (0, 3)):
+        m[i, j] = rng.uniform() * math.sqrt(p[i] * p[j]) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        m[j, i] = np.conj(m[i, j])
+    return m
+
+
+def test_concurrence_momentum_x_keeps_sqrt_2_chs_where_rho00_rho33_vanishes():
+    rng = np.random.default_rng(41)
+    for n in range(400):
+        rho = rho_of(random_x_state(rng, zero=(0, 3)[n % 2]), dims=(2, 2))
+        old = math.sqrt(2.0 * coherence_hs(rho))
+        assert abs(concurrence_momentum_x(rho) - old) <= 1e-12
+
+
+def test_concurrence_momentum_x_matches_the_wootters_spectrum():
+    # Wootters: C = max(0, l1 - l2 - l3 - l4), l_i the square roots of the
+    # eigenvalues of sqrt(rho) rho~ sqrt(rho) in decreasing order, with
+    # rho~ = (sy x sy) rho* (sy x sy).  The square root turns the ~1e-16
+    # absolute rounding of a vanishing eigenvalue into ~1e-8, hence 1e-7.
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    yy = np.kron(sy, sy)
+    rng = np.random.default_rng(42)
+    for _ in range(400):
+        m = random_x_state(rng)
+        w, v = np.linalg.eigh(m)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        lam = np.linalg.eigvalsh(root @ yy @ m.conj() @ yy @ root)
+        lam = np.sqrt(np.clip(lam, 0.0, None))[::-1]
+        wootters = max(0.0, lam[0] - lam[1:].sum())
+        assert abs(concurrence_momentum_x(rho_of(m, dims=(2, 2))) - wootters) <= 1e-7
+
+
 def test_concurrence_momentum_x_rejects_non_x_shapes():
     leaky = np.eye(4) / 4.0 + np.zeros((4, 4))
     leaky[0, 1] = leaky[1, 0] = 0.2

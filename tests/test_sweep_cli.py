@@ -418,6 +418,35 @@ def test_cli_check_reports_failure_with_injected_fault(monkeypatch, capsys):
     assert "ccr-identity-grid" in captured.err
 
 
+def test_cli_check_catches_an_entropy_offset_in_the_batched_separability_suite(
+    monkeypatch, capsys
+):
+    # The batched single-momentum suite must look the measure up at call
+    # time: a spin entropy 1e-9 above zero is a separability violation.
+    import ccrsim.measures as measures
+
+    real = measures.linear_entropy
+    monkeypatch.setattr(measures, "linear_entropy", lambda rho: real(rho) + 1e-9)
+    rc = cli.main(["check", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "FAIL  single-momentum-separability" in captured.out
+    assert "single-momentum-separability" in captured.err
+
+
+def test_check_catches_a_perturbed_multiindex_core(monkeypatch):
+    import ccrsim.measures as measures
+
+    real = measures.linear_entropy_multiindex_arrays
+
+    def perturbed(amplitudes, dims, subsystem):
+        return real(amplitudes, dims, subsystem) + 1e-9
+
+    monkeypatch.setattr(measures, "linear_entropy_multiindex_arrays", perturbed)
+    failures = [r.name for r in run_all_checks(seed=3) if not r.passed]
+    assert failures == ["entropy-multiindex-equivalence"]
+
+
 def test_cli_sweep_stops_quietly_when_stdout_is_closed(tmp_path):
     # 100 x 100 x 4 rows are megabytes of CSV, far beyond a pipe's buffer, so
     # the writer is still writing when the reader goes away after one line.

@@ -6,20 +6,21 @@ On the discrete basis a boost acts as a momentum-controlled spin unitary:
 
 per particle, where D is the little-group rotation of that particle's mode.
 Two routes are provided.  ``apply_boost`` is the physical one: it takes a
-rapidity/direction pair, rewrites the numeric momenta and derives each D from
-the half-angle formulas.  ``boost_by_wigner_angle`` drives the same controlled
-unitary directly by the rotation angle, which is how angle sweeps are
-parameterised: a given angle does not pin down a rapidity (with p = m = 1 no
-finite rapidity even reaches angle pi/2), so that route leaves the numeric
-momenta untouched and only retags the mode tokens.
+rapidity/direction pair, maps each particle's momenta in closed form
+(``relativity._boosted_momenta``; the masses stay exact) and derives each D
+from the half-angle formulas.  ``boost_by_wigner_angle`` drives the same
+controlled unitary directly by the rotation angle, which is how angle sweeps
+are parameterised: a given angle does not pin down a rapidity (with
+p = m = 1 no finite rapidity even reaches angle pi/2), so that route leaves
+the momenta untouched.  Both routes prepend ``BOOST_TAG`` to every token.
 
 Both routes hand one ``(M, 2, 2)`` stack of D matrices per particle to
 ``linalg.apply_controlled``, which contracts each into that particle's
 (momentum, spin) axes of the amplitude tensor; the dense controlled unitary
 is never formed.  ``physical_stacks`` builds the D matrices of the physical
-route for a whole batch of boosts at once: ``apply_boost`` makes one call
-for all its particles of one mode count, and the check battery one call for
-all draws of a random-boost suite.
+route for a whole batch of boosts at once from mass and momentum arrays:
+``apply_boost`` makes one call for all its particles of one mode count, and
+the check battery one call for all draws of a random-boost suite.
 ``wigner_angle_grid`` boosts a state over a whole (theta, phi) grid at once,
 which is how ``sweep`` evaluates its blocks and the check battery its xi2
 suites.
@@ -34,30 +35,12 @@ import numpy as np
 
 from .errors import BadPhysicalParams, DimensionMismatch
 from .linalg import StateVector, apply_controlled
-from .relativity import (
-    BoostSpec,
-    FourMomentum,
-    _wigner_angle_axis,
-    boost_matrix,
-    boost_momentum,
-    su2_rotations,
-)
-from .states import MomentumMode, MultipartiteState, Particle, boost_direction
-
-# Tag prepended to every mode token by a boost, mirroring |p> -> |Lambda p>.
-BOOST_TAG = "Λ"  # capital lambda
+from .relativity import BoostSpec, _boosted_momenta, _wigner_angle_axis, su2_rotations
+from .states import MultipartiteState, Particle, boost_direction
 
 # Direct-angle boosts require the boost plane to be orthogonal to every mode
 # and all modes to share one (E, m) shell, so a single angle is consistent.
 _GEOMETRY_TOL = 1e-9
-
-
-def _retagged(particle: Particle, new_momenta: list | None) -> Particle:
-    modes = []
-    for i, mode in enumerate(particle.modes):
-        momentum = mode.momentum if new_momenta is None else new_momenta[i]
-        modes.append(MomentumMode(BOOST_TAG + mode.token, momentum))
-    return Particle(tuple(modes))
 
 
 def _boosted(
@@ -67,50 +50,61 @@ def _boosted(
     return MultipartiteState(tuple(particles), StateVector(state.dims, amps))
 
 
-def physical_stacks(
-    boosts: Sequence[BoostSpec], momenta: Sequence[Sequence[FourMomentum]]
-) -> np.ndarray:
+def physical_stacks(boosts: Sequence[BoostSpec], masses, momenta) -> np.ndarray:
     """Spin rotations D(W(boost, p)) of a batch of boosts, ``(B, M, 2, 2)``.
 
-    Boost ``b`` acts on the M mode momenta ``momenta[b]``; every row must
-    list the same number of modes.  Each angle and axis comes from the
-    per-mode closed form (``relativity._wigner_angle_axis``), and one
+    Boost ``b`` acts on M modes of masses ``masses[b]`` and momenta
+    ``momenta[b]`` (arrays (B, M) and (B, M, 3)).  Each angle and axis comes
+    from the per-mode closed form (``relativity._wigner_angle_axis``), and one
     ``su2_rotations`` call builds and validates the whole stack.
     """
-    n_modes = {len(row) for row in momenta}
-    if len(boosts) != len(momenta) or len(n_modes) != 1 or 0 in n_modes:
+    masses = np.asarray(masses, dtype=float)
+    momenta = np.asarray(momenta, dtype=float)
+    if masses.ndim != 2 or len(masses) != len(boosts) or not masses.size or (
+        momenta.shape != masses.shape + (3,)
+    ):
         raise DimensionMismatch(
-            f"need one non-empty mode list of a common length per boost, got "
-            f"{len(boosts)} boosts and mode counts {sorted(n_modes)}"
+            f"{len(boosts)} boosts need masses (B, M) and momenta (B, M, 3), M > 0; "
+            f"got {masses.shape} and {momenta.shape}"
         )
-    shape = (len(boosts), n_modes.pop())
     angles, axes = zip(
-        *(_wigner_angle_axis(boost, p) for boost, row in zip(boosts, momenta) for p in row)
+        *(
+            _wigner_angle_axis(boost, m, p)
+            for boost, m_row, p_row in zip(boosts, masses.tolist(), momenta)
+            for m, p in zip(m_row, p_row)
+        )
     )
-    return su2_rotations(np.array(angles).reshape(shape), np.array(axes).reshape(shape + (3,)))
+    return su2_rotations(
+        np.array(angles).reshape(masses.shape), np.array(axes).reshape(momenta.shape)
+    )
 
 
 def apply_boost(state: MultipartiteState, boost: BoostSpec) -> MultipartiteState:
-    """Boost a state physically: new momenta, Wigner-rotated spins.
+    """Boost a state physically: new momenta of the same masses, Wigner-rotated spins.
 
-    Raises LabelCollision (from the Particle constructor) if two boosted
-    momenta of one particle land within the mode-separation tolerance of
-    each other.
+    Raises LabelCollision if two boosted momenta of one particle land within
+    the mode-separation tolerance of each other.
     """
-    lam = boost_matrix(boost)
-    rows = [[m.momentum for m in particle.modes] for particle in state.particles]
-    new_particles = [
-        _retagged(particle, [boost_momentum(lam, p) for p in row])
-        for particle, row in zip(state.particles, rows)
-    ]
+    particles = state.particles
+    counts = [p.n_modes for p in particles]
+    new_momenta = _boosted_momenta(
+        boost,
+        np.concatenate([p.masses for p in particles]),
+        np.concatenate([p.momenta for p in particles]),
+    )
+    starts = np.cumsum([0] + counts).tolist()
+    new_particles = [p._boosted(new_momenta[a:b]) for p, a, b in zip(particles, starts, starts[1:])]
     # One physical_stacks call per distinct mode count.
-    stacks = [None] * len(rows)
-    for n_modes in {len(row) for row in rows}:
-        group = [k for k, row in enumerate(rows) if len(row) == n_modes]
-        batch = physical_stacks([boost] * len(group), [rows[k] for k in group])
-        for k, stack in zip(group, batch):
-            stacks[k] = stack
-    return _boosted(state, new_particles, stacks)
+    stacks = {}
+    for n_modes in set(counts):
+        group = [k for k, n in enumerate(counts) if n == n_modes]
+        batch = physical_stacks(
+            [boost] * len(group),
+            [particles[k].masses for k in group],
+            [particles[k].momenta for k in group],
+        )
+        stacks.update(zip(group, batch))
+    return _boosted(state, new_particles, [stacks[k] for k in range(len(particles))])
 
 
 def wigner_angle_stacks(
@@ -132,28 +126,30 @@ def wigner_angle_stacks(
         raise BadPhysicalParams(f"wigner angle must lie in [0, pi/2], got {bad!r}")
     e_hat = np.asarray(direction, dtype=float)
 
-    modes = [m for particle in particles for m in particle.modes]
-    e_ref = modes[0].momentum.e
-    m_ref = modes[0].momentum.mass
-    for mode in modes:
-        p_vec = mode.momentum.spatial
-        p_mag = float(np.linalg.norm(p_vec))
-        if p_mag <= 1e-14 * mode.momentum.e:
-            raise BadPhysicalParams(f"mode {mode.token!r} is at rest; its angle is fixed at 0")
-        if float(np.max(np.abs(e_hat @ p_vec))) / p_mag > _GEOMETRY_TOL:
-            raise BadPhysicalParams(
-                f"mode {mode.token!r} is not orthogonal to the boost direction"
-            )
-        if abs(mode.momentum.e - e_ref) > _GEOMETRY_TOL * e_ref or abs(
-            mode.momentum.mass - m_ref
-        ) > _GEOMETRY_TOL * m_ref:
-            raise BadPhysicalParams(
-                "modes do not share one mass shell; a single wigner angle is ambiguous"
-            )
+    tokens = [t for particle in particles for t in particle.tokens]
+    masses = np.concatenate([particle.masses for particle in particles])
+    momenta = np.concatenate([particle.momenta for particle in particles])
+    energies = np.concatenate([particle.energies for particle in particles])
+    p_mag = np.linalg.norm(momenta, axis=-1)
+    e_ref, m_ref = energies[0], masses[0]
+    for bad, what in (
+        (p_mag <= 1e-14 * energies, "is at rest; its angle is fixed at 0"),
+        (
+            np.max(np.abs(e_hat.reshape(-1, 3) @ momenta.T), axis=0) > _GEOMETRY_TOL * p_mag,
+            "is not orthogonal to the boost direction",
+        ),
+        (
+            (np.abs(energies - e_ref) > _GEOMETRY_TOL * e_ref)
+            | (np.abs(masses - m_ref) > _GEOMETRY_TOL * m_ref),
+            "is off the mass shell of the first mode; a single wigner angle is ambiguous",
+        ),
+    ):
+        if bad.any():
+            raise BadPhysicalParams(f"mode {tokens[np.argmax(bad)]!r} {what}")
 
     stacks = []
     for particle in particles:
-        p_vecs = np.array([mode.momentum.spatial for mode in particle.modes])
+        p_vecs = particle.momenta
         p_hat = p_vecs / np.linalg.norm(p_vecs, axis=-1, keepdims=True)
         axes = np.cross(e_hat[..., None, :], p_hat)
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
@@ -178,7 +174,7 @@ def boost_by_wigner_angle(
     """Boost a state by prescribing the Wigner angle instead of a rapidity.
 
     The geometry requirements are those of ``wigner_angle_stacks``.  Mode
-    tokens are retagged; the numeric four-momenta are left as they are.
+    tokens are tagged; the masses and momenta are left as they are.
     """
     stacks = wigner_angle_stacks(state.particles, phi, direction)
-    return _boosted(state, [_retagged(p, None) for p in state.particles], stacks)
+    return _boosted(state, [p._boosted() for p in state.particles], stacks)

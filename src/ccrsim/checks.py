@@ -65,10 +65,13 @@ def _random_unit3(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _random_mode(rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """(mass, spatial momentum) of one random mode."""
+    return rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0) * _random_unit3(rng)
+
+
 def _random_momentum(rng: np.random.Generator) -> FourMomentum:
-    return FourMomentum.from_spatial(
-        rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0) * _random_unit3(rng)
-    )
+    return FourMomentum.from_spatial(*_random_mode(rng))
 
 
 def _random_boost(rng: np.random.Generator, max_rapidity: float = 5.0) -> BoostSpec:
@@ -190,17 +193,18 @@ def _check_collinear_identity(rng: np.random.Generator) -> SuiteResult:
 def _check_boost_purity(rng: np.random.Generator) -> SuiteResult:
     # Two particles, each two random modes in a random superposition times a
     # random spin, under one random boost per draw.
-    amplitudes, momenta, boosts = [], ([], []), []
+    # modes[k] holds particle k's ((m1, m2), (p1, p2)) of each draw.
+    amplitudes, modes, boosts = [], ([], []), []
     for _ in range(50):
         mode_amps = []
-        for modes in momenta:
+        for draws in modes:
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
             mode_amps.append(amps / np.linalg.norm(amps))
-            modes.append([_random_momentum(rng), _random_momentum(rng)])
+            draws.append(tuple(zip(_random_mode(rng), _random_mode(rng))))
         (m_a, m_b), (s_a, s_b) = mode_amps, [_random_spin_pair(rng) for _ in range(2)]
         amplitudes.append(np.kron(np.kron(m_a, s_a), np.kron(m_b, s_b)))
         boosts.append(_random_boost(rng))
-    stacks = [physical_stacks(boosts, modes) for modes in momenta]
+    stacks = [physical_stacks(boosts, *zip(*draws)) for draws in modes]
     boosted = linalg.apply_controlled(np.array(amplitudes), (2, 2, 2, 2), stacks)
     dev = float(np.max(np.abs(np.linalg.norm(boosted, axis=-1) - 1.0)))
     return _result("boost-purity-preservation", dev, 1e-10)
@@ -209,12 +213,14 @@ def _check_boost_purity(rng: np.random.Generator) -> SuiteResult:
 def _check_single_momentum_separability(rng: np.random.Generator) -> SuiteResult:
     # One particle with one momentum mode: the boost is a spin rotation, so
     # the spin must stay pure.
-    momenta, spins, boosts = [], [], []
+    modes, spins, boosts = [], [], []
     for _ in range(500):
-        momenta.append([_random_momentum(rng)])
+        modes.append(_random_mode(rng))
         spins.append(_random_spin_pair(rng))
         boosts.append(_random_boost(rng))
-    boosted = linalg.apply_controlled(np.array(spins), (1, 2), [physical_stacks(boosts, momenta)])
+    masses, momenta = (np.array(column)[:, None] for column in zip(*modes))  # (500, 1) modes
+    stacks = physical_stacks(boosts, masses, momenta)
+    boosted = linalg.apply_controlled(np.array(spins), (1, 2), [stacks])
     rho = measures.reduced_matrices(boosted, (1, 2), 1)
     linalg.check_density_matrices(rho)
     dev = max(0.0, float(np.max(measures.linear_entropy(rho))))
@@ -346,10 +352,13 @@ def _check_xi2_concurrence_monotonic() -> SuiteResult:
 
 
 def _check_upsilon_coherence_growth(grid: _Grid) -> SuiteResult:
-    values = next(
-        block.coherence[block.thetas.index(math.pi / 2), :, block.subsystems.index((0, SPIN))]
-        for scenario, _, block in grid
-        if scenario == ScenarioId.UPSILON.value and math.pi / 2 in block.thetas
+    # The theta = pi/2 row, joined from every block that holds part of it.
+    values = np.concatenate(
+        [
+            block.coherence[block.thetas.index(math.pi / 2), :, block.subsystems.index((0, SPIN))]
+            for scenario, _, block in grid
+            if scenario == ScenarioId.UPSILON.value and math.pi / 2 in block.thetas
+        ]
     )
     dev = max(0.0, float(np.max(values[:-1] - values[1:])))
     dev = max(dev, abs(float(values[-1]) - 0.5))

@@ -33,9 +33,6 @@ STATE_NORM_TOL = 1e-10
 MATRIX_TOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -112,37 +109,6 @@ class DensityMatrix:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the row-major block convention."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def apply(a: np.ndarray, psi: StateVector) -> StateVector:
-    """Apply a square operator to a state, demanding that the norm survives.
-
-    Raises NormNotPreserved if the output norm deviates from 1 beyond
-    ``STATE_NORM_TOL``; otherwise the tiny float drift is renormalised away.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[1] != psi.dim:
-        raise DimensionMismatch(
-            f"operator shape {a.shape} does not act on a state of dimension {psi.dim}"
-        )
-    out = a @ psi.amplitudes
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > STATE_NORM_TOL:
-        raise NormNotPreserved(f"output norm {norm!r} deviates from 1 beyond {STATE_NORM_TOL}")
-    return StateVector(psi.dims, out / norm)
 
 
 def outer(psi: StateVector) -> DensityMatrix:

@@ -198,12 +198,6 @@ def linear_entropy_multiindex(state: MultipartiteState | StateVector, subsystem:
     return float(linear_entropy_multiindex_arrays(sv.amplitudes, sv.dims, subsystem))
 
 
-def concurrence_pure(state: MultipartiteState | StateVector, subsystem: int) -> float:
-    """E = sqrt(2 S_l) for the cut (subsystem | rest) of a pure global state."""
-    s = linear_entropy(_factor_rho(state, subsystem))
-    return math.sqrt(max(0.0, 2.0 * s))
-
-
 def concurrence_momentum_x(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-mode-pair X-shaped mixed state.
 

@@ -24,6 +24,14 @@ When e is perpendicular to p_hat the rotation angle reduces to
 The independent cross-check is the explicit 4x4 little-group element
 W = L(B p)^-1 B L(p), which must fix k; its spatial block is the SO(3) image
 of D, so both routes must report the same angle.
+
+A boost maps a momentum p of mass m in closed form and keeps m exactly:
+rapidities along e add, so with m_T = hypot(m, |e x p|), y = asinh(e . p / m_T)
+
+    p' = p + 2 m_T cosh(y + w/2) sinh(w/2) e,
+
+which, unlike p + ((cosh w - 1)(e . p) + sinh w E) e, cancels no terms of
+order E e^w where the boost reverses p along e.
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ RAPIDITY_CAP = 50.0
 # of 10 and 1e-10 at 10.5, but 2e-9 at 12, past the 1e-9 agreement tolerance.
 ORACLE_MAX_RAPIDITY = 10.5
 
-# Relative floor on m^2/e^2 below which a momentum is treated as non-timelike.
+# Floor on m^2/e^2 for ``FourMomentum(e, px, py, pz)``: below it the mass the
+# components give has lost most of its digits.
 _TIMELIKE_REL_TOL = 1e-10
 
 _DEFAULT_AXIS = np.array([0.0, 0.0, 1.0])
@@ -65,22 +74,21 @@ def _unit3(v, what: str) -> np.ndarray:
     return a
 
 
-def _square_terms(x: float) -> tuple[float, float, float]:
-    # x * x as three float64 terms that sum to it exactly (Veltkamp split).
-    c = 134217729.0 * x  # 2**27 + 1
-    hi = c - (c - x)
-    lo = x - hi
-    return hi * hi, 2.0 * hi * lo, lo * lo
-
-
 @dataclass(frozen=True)
 class FourMomentum:
-    """Timelike four-momentum (e, px, py, pz) of a massive particle."""
+    """Four-momentum (e, px, py, pz) of a massive particle, with its ``mass``.
+
+    The boundary type; particles hold masses and momenta as arrays.
+    ``FourMomentum(e, px, py, pz)`` recovers m = sqrt((e - |p|)(e + |p|)) and
+    refuses m^2 <= 1e-10 e^2.  ``from_spatial(mass, p)`` keeps the given mass
+    exactly, for any |p|/m, and rounds e, which only the 4x4 oracle reads.
+    """
 
     e: float
     px: float
     py: float
     pz: float
+    mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         vals = (self.e, self.px, self.py, self.pz)
@@ -88,15 +96,11 @@ class FourMomentum:
             raise BadPhysicalParams(f"four-momentum {vals} contains NaN or Inf")
         if self.e <= 0.0:
             raise BadPhysicalParams(f"energy must be positive, got {self.e!r}")
-        if self.mass_sq <= _TIMELIKE_REL_TOL * self.e**2:
-            raise BadPhysicalParams(
-                f"four-momentum {vals} is not timelike: m^2 = {self.mass_sq!r}"
-            )
-
-    @classmethod
-    def from_array(cls, a) -> "FourMomentum":
-        a = np.asarray(a, dtype=float).reshape(-1)
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        k = math.hypot(self.px, self.py, self.pz)
+        mass_sq = (self.e - k) * (self.e + k)
+        if mass_sq <= _TIMELIKE_REL_TOL * self.e**2:
+            raise BadPhysicalParams(f"four-momentum {vals} is not timelike: m^2 = {mass_sq!r}")
+        object.__setattr__(self, "mass", math.sqrt(mass_sq))
 
     @classmethod
     def from_spatial(cls, mass: float, p_vec) -> "FourMomentum":
@@ -105,22 +109,16 @@ class FourMomentum:
             raise BadPhysicalParams(f"mass must be positive and finite, got {mass!r}")
         p = np.asarray(p_vec, dtype=float).reshape(-1)
         e = math.sqrt(mass**2 + float(p @ p))
-        return cls(e, float(p[0]), float(p[1]), float(p[2]))
+        if p.shape != (3,) or not math.isfinite(e):
+            raise BadPhysicalParams(f"momentum {p_vec!r} is not a finite 3-vector")
+        out = cls.__new__(cls)  # the mass is given: skip its recovery from e
+        for name, value in zip(("e", "px", "py", "pz", "mass"), (e, *p.tolist(), float(mass))):
+            object.__setattr__(out, name, value)
+        return out
 
     @property
     def spatial(self) -> np.ndarray:
         return np.array([self.px, self.py, self.pz])
-
-    @property
-    def mass_sq(self) -> float:
-        # Exact squares, one rounding: e^2 - p^2 cancels almost every digit
-        # when |p| >> m, and the Wigner angle can depend on all that remain.
-        p_terms = [-t for c in (self.px, self.py, self.pz) for t in _square_terms(c)]
-        return math.fsum((*_square_terms(self.e), *p_terms))
-
-    @property
-    def mass(self) -> float:
-        return math.sqrt(self.mass_sq)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.e, self.px, self.py, self.pz])
@@ -186,18 +184,19 @@ def boost_matrix(boost: BoostSpec) -> np.ndarray:
     return _pure_boost(boost.direction, boost.rapidity)
 
 
-def standard_boost(p: FourMomentum) -> np.ndarray:
-    """L(p): the pure boost taking the rest momentum (m, 0, 0, 0) to p."""
-    p_vec = p.spatial
-    p_mag = float(np.linalg.norm(p_vec))
-    if p_mag <= 1e-14 * p.e:
-        return np.eye(4)
-    return _pure_boost(p_vec / p_mag, momentum_rapidity(p))
-
-
-def boost_momentum(lam: np.ndarray, p: FourMomentum) -> FourMomentum:
-    """Apply a 4x4 Lorentz matrix to a four-momentum."""
-    return FourMomentum.from_array(np.asarray(lam) @ p.as_array())
+def _boosted_momenta(boost: BoostSpec, masses: np.ndarray, momenta: np.ndarray) -> np.ndarray:
+    # Spatial momenta (N, 3) of masses (N,) after the boost (see the module
+    # doc).  |e x p| cancels for near-(anti-)collinear p, and wherever the boost
+    # reverses p along e its rounding error reaches p' in full, so the cross
+    # products are formed in long double (extended precision on x86-64).
+    e = boost.direction
+    half = 0.5 * boost.rapidity
+    ex, ey, ez = e.tolist()
+    e_cross = np.array([[0.0, -ez, ey], [ez, 0.0, -ex], [-ey, ex, 0.0]], dtype=np.longdouble)
+    perp = momenta @ e_cross.T  # e x p
+    m_t = np.hypot(masses, np.sqrt(np.sum(perp * perp, axis=-1)).astype(float))
+    y = np.arcsinh((momenta @ e) / m_t)
+    return momenta + (2.0 * math.sinh(half)) * (m_t * np.cosh(y + half))[:, None] * e
 
 
 def wigner_oracle(boost: BoostSpec, p: FourMomentum) -> np.ndarray:
@@ -338,13 +337,15 @@ def su2_rotations(angle, axis) -> np.ndarray:
     return m
 
 
-def _wigner_angle_axis(boost: BoostSpec, p: FourMomentum) -> tuple[float, np.ndarray]:
-    # Angle and unit axis of the half-angle closed form.  atan2 reads the
-    # angle from the unnormalised pair; the normalisation it would need
-    # cancels badly near e . p_hat = -1 and is never formed.
-    p_vec = p.spatial
+def _wigner_angle_axis(
+    boost: BoostSpec, mass: float, p_vec: np.ndarray
+) -> tuple[float, np.ndarray]:
+    # Angle and unit axis of the half-angle closed form for one mode of the
+    # given mass and spatial momentum.  atan2 reads the angle from the
+    # unnormalised pair; the normalisation it would need cancels badly near
+    # e . p_hat = -1 and is never formed.
     p_mag = float(np.linalg.norm(p_vec))
-    if p_mag <= 1e-14 * p.e or boost.rapidity == 0.0:
+    if p_mag <= 1e-14 * mass or boost.rapidity == 0.0:
         return 0.0, _DEFAULT_AXIS
     p_hat = p_vec / p_mag
     e_hat = boost.direction
@@ -360,7 +361,7 @@ def _wigner_angle_axis(boost: BoostSpec, p: FourMomentum) -> tuple[float, np.nda
     axis = np.array(cross) / scale
     norm = math.hypot(*axis)
     w = boost.rapidity
-    a = momentum_rapidity(p)
+    a = math.asinh(math.hypot(*p_vec.tolist()) / mass)  # momentum_rapidity
     sh_sh = math.sinh(w / 2.0) * math.sinh(a / 2.0)
     cos_half = math.cosh(w / 2.0) * math.cosh(a / 2.0) + sh_sh * float(e_hat @ p_hat)
     return 2.0 * math.atan2(sh_sh * scale * norm, cos_half), axis / norm
@@ -372,4 +373,4 @@ def wigner_rotation(boost: BoostSpec, p: FourMomentum) -> WignerRotation:
     A particle at rest (or a trivial boost) yields the identity with angle 0;
     when the angle vanishes the reported axis is the (never used) z-axis.
     """
-    return WignerRotation(*_wigner_angle_axis(boost, p))
+    return WignerRotation(*_wigner_angle_axis(boost, p.mass, p.spatial))

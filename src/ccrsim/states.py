@@ -1,17 +1,18 @@
 """Mode-labelled multiparticle states and the canonical boost scenarios.
 
-A particle carries a finite list of momentum modes, each a (token, on-shell
-four-momentum) pair; tokens are opaque names for basis kets, the numeric
-momentum is what a boost transforms.  Every particle also carries one
-spin-1/2 factor.  Amplitudes are stored over the factor order
+A particle holds its M momentum modes as arrays: ``tokens`` (opaque names for
+the basis kets), ``masses`` of shape (M,) and spatial ``momenta`` of shape
+(M, 3); each energy is derived from its mass and momentum.  A boost maps the
+momenta, keeps the masses and tags every token.  Every particle also carries
+one spin-1/2 factor.  Amplitudes are stored over the factor order
 
     (momentum_1, spin_1, momentum_2, spin_2, ...)
 
 so particle k owns the global factors 2k (momentum) and 2k + 1 (spin).
 Spin basis: |0> is up and |1> is down along z.
 
-The five scenario states all use two momentum modes +-p along the y-axis
-with energy sqrt(mass^2 + p^2), boosted in the x-z plane:
+The five scenario states all use two momentum modes +-p along the y-axis,
+of one mass, boosted in the x-z plane:
 
     psi      (|+p> + |-p>)/sqrt(2) (x) |0>
     xi       (|+p, 0> + |-p, 1>)/sqrt(2)
@@ -58,38 +59,82 @@ class ScenarioId(str, enum.Enum):
     UPSILON = "upsilon"
 
 
-@dataclass(frozen=True)
-class MomentumMode:
-    token: str
-    momentum: FourMomentum
+# Tag prepended to every mode token by a boost, mirroring |p> -> |Lambda p>.
+BOOST_TAG = "Λ"  # capital lambda
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Particle:
-    """Ordered momentum modes of one particle; tokens and momenta distinct."""
+    """Momentum modes of one particle: ``tokens``, ``masses`` (M,), ``momenta`` (M, 3).
 
-    modes: tuple[MomentumMode, ...]
+    Construction validates the shapes, the values and distinct tokens, and
+    raises LabelCollision if two modes lie within ``MODE_SEPARATION_TOL`` of
+    each other in (E, px, py, pz) max-norm.  The arrays are stored read-only.
+    """
+
+    tokens: tuple[str, ...]
+    masses: np.ndarray
+    momenta: np.ndarray
 
     def __post_init__(self) -> None:
-        modes = tuple(self.modes)
-        if not modes:
+        tokens = tuple(self.tokens)
+        masses, momenta = np.array(self.masses, dtype=float), np.array(self.momenta, dtype=float)
+        if not tokens:
             raise BadPhysicalParams("a particle needs at least one momentum mode")
-        tokens = [m.token for m in modes]
+        if masses.shape != (len(tokens),) or momenta.shape != (len(tokens), 3):
+            raise DimensionMismatch(
+                f"{len(tokens)} tokens with masses {masses.shape} and momenta {momenta.shape}"
+            )
+        if not (np.isfinite(momenta).all() and (np.isfinite(masses) & (masses > 0.0)).all()):
+            raise BadPhysicalParams("masses must be positive and finite, momenta finite")
         if len(set(tokens)) != len(tokens):
             raise LabelCollision(f"momentum tokens are not distinct: {tokens}")
-        for i in range(len(modes)):
-            for j in range(i + 1, len(modes)):
-                gap = np.max(np.abs(modes[i].momentum.as_array() - modes[j].momentum.as_array()))
-                if gap <= MODE_SEPARATION_TOL:
-                    raise LabelCollision(
-                        f"modes {tokens[i]!r} and {tokens[j]!r} coincide within "
-                        f"{MODE_SEPARATION_TOL} (max-norm gap {gap!r})"
-                    )
-        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "tokens", tokens)
+        self._set_modes(masses, momenta)
+
+    def _set_modes(self, masses: np.ndarray, momenta: np.ndarray) -> None:
+        for name, array in (("masses", masses), ("momenta", momenta)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        _check_separation(self)
+
+    def _boosted(self, momenta: np.ndarray | None = None) -> "Particle":
+        # Tagged tokens stay distinct and the masses are kept; the momenta
+        # (None: unchanged) are checked, as a boost can contract modes together.
+        out = Particle.__new__(Particle)
+        object.__setattr__(out, "tokens", tuple(BOOST_TAG + t for t in self.tokens))
+        out._set_modes(self.masses, self.momenta if momenta is None else momenta)
+        return out
 
     @property
     def n_modes(self) -> int:
-        return len(self.modes)
+        return len(self.tokens)
+
+    @property
+    def energies(self) -> np.ndarray:
+        """On-shell energies sqrt(m^2 + |p|^2), shape (M,)."""
+        return np.sqrt(self.masses**2 + np.sum(self.momenta**2, axis=-1))
+
+
+def _check_separation(particle: Particle) -> None:
+    # Sort the modes on the (E, px, py, pz) coordinate that spreads most.  Two
+    # modes within the tolerance in max-norm are within it in that coordinate,
+    # so each is compared with the next ones only while that one stays close.
+    coordinates = zip(particle.energies.tolist(), *particle.momenta.T.tolist())
+    modes = list(zip(coordinates, particle.tokens))
+    spreads = [max(c) - min(c) for c in zip(*(q for q, _ in modes))]
+    key = spreads.index(max(spreads))
+    modes.sort(key=lambda mode: mode[0][key])
+    for n, (q, token) in enumerate(modes):
+        for r, other in modes[n + 1 :]:
+            if r[key] - q[key] > MODE_SEPARATION_TOL:
+                break
+            gap = max(abs(a - b) for a, b in zip(q, r))
+            if gap <= MODE_SEPARATION_TOL:
+                raise LabelCollision(
+                    f"modes {token!r} and {other!r} coincide within {MODE_SEPARATION_TOL} "
+                    f"(max-norm gap {gap!r})"
+                )
 
 
 @dataclass(frozen=True)
@@ -103,9 +148,7 @@ class MultipartiteState:
         particles = tuple(self.particles)
         if not particles:
             raise BadPhysicalParams("at least one particle is required")
-        expected: tuple[int, ...] = ()
-        for p in particles:
-            expected += (p.n_modes, SPIN_DIM)
+        expected = tuple(d for p in particles for d in (p.n_modes, SPIN_DIM))
         if self.amplitudes.dims != expected:
             raise DimensionMismatch(
                 f"amplitude dims {self.amplitudes.dims} do not match particles {expected}"
@@ -138,24 +181,13 @@ class MultipartiteState:
 
     def single_dof_subsystems(self) -> list[tuple[int, str, int]]:
         """All (particle, dof, global index) triples in global-index order."""
-        out = []
-        for k in range(self.n_particles):
-            for dof in DOFS:
-                out.append((k, dof, self.subsystem_index(k, dof)))
-        return out
+        return [(k, dof, 2 * k + j) for k in range(self.n_particles) for j, dof in enumerate(DOFS)]
 
     def basis_label(self, flat_index: int) -> str:
         """Human-readable ket label for one flat amplitude index."""
-        idx = flat_index
-        parts = []
-        for d in reversed(self.amplitudes.dims):
-            parts.append(idx % d)
-            idx //= d
-        parts.reverse()
-        kets = []
-        for k, p in enumerate(self.particles):
-            kets.append(f"|{p.modes[parts[2 * k]].token},{parts[2 * k + 1]}>")
-        return "".join(kets)
+        parts = [int(i) for i in np.unravel_index(flat_index, self.dims)]
+        tokens = (p.tokens[i] for p, i in zip(self.particles, parts[0::2]))
+        return "".join(f"|{token},{spin}>" for token, spin in zip(tokens, parts[1::2]))
 
 
 def reduced_density_matrix(state: MultipartiteState, keep: set[int] | frozenset[int]) -> DensityMatrix:
@@ -181,13 +213,6 @@ def boost_direction(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), 0.0, math.sin(theta)])
 
 
-def _scenario_particles(p_mag: float, mass: float, n_particles: int) -> tuple[Particle, ...]:
-    e = math.sqrt(mass**2 + p_mag**2)
-    plus = MomentumMode("+p", FourMomentum(e, 0.0, p_mag, 0.0))
-    minus = MomentumMode("-p", FourMomentum(e, 0.0, -p_mag, 0.0))
-    return tuple(Particle((plus, minus)) for _ in range(n_particles))
-
-
 def make_scenario(scenario: ScenarioId | str, p_mag: float = 1.0, mass: float = 1.0) -> MultipartiteState:
     """Build one of the five canonical states with momenta +-p_mag along y."""
     scenario = ScenarioId(scenario)
@@ -197,8 +222,8 @@ def make_scenario(scenario: ScenarioId | str, p_mag: float = 1.0, mass: float = 
         raise BadPhysicalParams(f"mass must be positive and finite, got {mass!r}")
 
     r = 1.0 / math.sqrt(2.0)
+    modes = Particle(("+p", "-p"), (mass, mass), ((0.0, p_mag, 0.0), (0.0, -p_mag, 0.0)))
     if scenario in (ScenarioId.PSI, ScenarioId.XI, ScenarioId.PHI):
-        particles = _scenario_particles(p_mag, mass, 1)
         amps = np.zeros(4, dtype=complex)
         if scenario == ScenarioId.PSI:
             amps[0] = amps[2] = r  # (|+p> + |-p>)/sqrt2 (x) |0>
@@ -206,9 +231,8 @@ def make_scenario(scenario: ScenarioId | str, p_mag: float = 1.0, mass: float = 
             amps[0] = amps[3] = r  # (|+p,0> + |-p,1>)/sqrt2
         else:
             amps[:] = 0.5  # (|+p> + |-p>)(|0> + |1>)/2
-        return MultipartiteState(particles, StateVector((2, 2), amps))
+        return MultipartiteState((modes,), StateVector((2, 2), amps))
 
-    particles = _scenario_particles(p_mag, mass, 2)
     amps = np.zeros(16, dtype=complex)
     if scenario == ScenarioId.XI2:
         # (|+p,-p> + |-p,+p>)/sqrt2 (x) |0,0> over (p_A, s_A, p_B, s_B)
@@ -216,7 +240,7 @@ def make_scenario(scenario: ScenarioId | str, p_mag: float = 1.0, mass: float = 
     else:
         # (|+p,-p>|0,1> + |-p,+p>|1,0>)/sqrt2
         amps[0b0011] = amps[0b1100] = r
-    return MultipartiteState(particles, StateVector((2, 2, 2, 2), amps))
+    return MultipartiteState((modes, modes), StateVector((2, 2, 2, 2), amps))
 
 
 def make_product_state(
@@ -226,7 +250,8 @@ def make_product_state(
     """Product state: per particle, a momentum-mode superposition times a spin.
 
     ``momenta[k]`` lists (token, four-momentum, amplitude) for particle k and
-    must be unit norm on its own, as must each ``spins[k]`` pair.
+    must be unit norm on its own, as must each ``spins[k]`` pair.  Each mode
+    takes the mass its ``FourMomentum`` carries, unchanged.
     """
     if len(momenta) != len(spins) or not momenta:
         raise DimensionMismatch(
@@ -244,9 +269,13 @@ def make_product_state(
             raise DimensionMismatch(f"spin amplitudes must be a pair, got {spin_pair!r}")
         if abs(float(np.linalg.norm(s_amps)) - 1.0) > STATE_NORM_TOL:
             raise NotNormalized(f"spin amplitudes {spin_pair!r} are not unit norm")
-        particles.append(Particle(tuple(MomentumMode(t, p) for (t, p, _) in mode_list)))
+        particles.append(
+            Particle(
+                tuple(t for (t, _, _) in mode_list),
+                [p.mass for (_, p, _) in mode_list],
+                [(p.px, p.py, p.pz) for (_, p, _) in mode_list],
+            )
+        )
         vec = np.kron(vec, np.kron(m_amps, s_amps))
-    dims: tuple[int, ...] = ()
-    for p in particles:
-        dims += (p.n_modes, SPIN_DIM)
+    dims = tuple(d for p in particles for d in (p.n_modes, SPIN_DIM))
     return MultipartiteState(tuple(particles), StateVector(dims, vec))

@@ -41,9 +41,10 @@ CSV_COLUMNS = ("scenario", "theta", "phi", "particle", "dof", "P", "C", "S", "su
 
 _CONFIG_KEYS = ("scenario", "theta", "phi", "subsystems", "out", "p_mag", "mass")
 
-# Most amplitudes one block of theta rows may hold.  A block is boosted and
-# reduced in one batched call, so this bounds the memory a sweep needs
-# whatever its grid; a 33 x 65 four-qubit grid (34,320 amplitudes) is one block.
+# Most amplitudes one block may hold: whole theta rows, or a chunk of one row
+# that alone is larger.  A block is boosted and reduced in one batched call,
+# so this bounds the memory a sweep needs whatever its grid; a 33 x 65
+# four-qubit grid (34,320 amplitudes) is one block.
 BLOCK_AMPLITUDES = 1 << 16
 
 
@@ -229,11 +230,13 @@ def build_config(
 
 @dataclass(frozen=True, eq=False)
 class SweepBlock:
-    """One block of whole theta rows of a sweep, as ``(T, F, K)`` columns.
+    """One block of a sweep, as ``(T, F, K)`` columns.
 
-    ``thetas`` (T) and ``phis`` (F) are sorted ascending and ``subsystems``
-    lists the K (particle, dof) pairs in subsystem-index order, so the C order
-    of a column is the CSV row order (theta, phi, subsystem).
+    A block holds whole theta rows, or one theta row and a chunk of its phi
+    values.  ``thetas`` (T) and ``phis`` (F) are sorted ascending and
+    ``subsystems`` lists the K (particle, dof) pairs in subsystem-index order,
+    so the C order of a column is the CSV row order (theta, phi, subsystem),
+    and so is the order of the blocks.
     """
 
     thetas: tuple[float, ...]
@@ -251,7 +254,7 @@ class SweepBlock:
 
 
 def run_sweep(config: SweepConfig) -> Iterator[SweepBlock]:
-    """Evaluate the grid lazily, one ``SweepBlock`` of theta rows at a time.
+    """Evaluate the grid lazily, one ``SweepBlock`` at a time.
 
     The scenario is built and the subsystems are resolved when this is
     called; each block goes through ``wigner_angle_grid`` and ``ccr_arrays``
@@ -268,10 +271,18 @@ def run_sweep(config: SweepConfig) -> Iterator[SweepBlock]:
         )
     thetas = sorted(config.theta_values)
     phis = tuple(sorted(config.phi_values))
-    rows_per_block = max(1, BLOCK_AMPLITUDES // (len(phis) * base.amplitudes.dim))
+    dim = base.amplitudes.dim
+    # A theta row too long for one block goes in phi chunks of half a block:
+    # its CSV text is formatted a row at a time, and half a block keeps those
+    # buffers near the ones of shorter rows (see the README).
+    if len(phis) * dim > BLOCK_AMPLITUDES:
+        rows, width = 1, max(1, BLOCK_AMPLITUDES // (2 * dim))
+    else:
+        rows, width = BLOCK_AMPLITUDES // (len(phis) * dim), len(phis)
     return (
-        _evaluate_block(base, chosen, tuple(thetas[start : start + rows_per_block]), phis)
-        for start in range(0, len(thetas), rows_per_block)
+        _evaluate_block(base, chosen, tuple(thetas[t : t + rows]), phis[f : f + width])
+        for t in range(0, len(thetas), rows)
+        for f in range(0, len(phis), width)
     )
 
 
@@ -308,7 +319,7 @@ def _block_text(scenario: str, block: SweepBlock) -> str:
     theta_rows = []
     for theta, theta_values in zip(block.thetas, values):
         head = f"{scenario},{fmt_float(theta)},"
-        theta_rows.append("".join([head + tail for tail in tails]) % tuple(theta_values))
+        theta_rows.append((head + head.join(tails)) % tuple(theta_values))
     return "".join(theta_rows)
 
 

@@ -319,11 +319,9 @@ def same_up_to_global_phase(u, v, tol=1e-10):
 def wigner_angle_mp(boost, p, digits=60):
     """Half-angle Wigner angle evaluated with mpmath at ``digits`` digits.
 
-    The inputs are the float components the library receives: the boost
-    rapidity and direction, and the stored (e, px, py, pz) of ``p``, whose
-    mass sqrt(e^2 - |p|^2) is taken exactly.  (``FourMomentum.from_spatial``
-    rounds e, so that mass differs from the requested one by up to about
-    (|p|/m)^2 * 1e-16 relative.)  The angle is
+    The inputs are the floats the library carries: the boost rapidity and
+    direction, and the mass and spatial momentum of ``p``, all taken as
+    exact.  The angle is
     2 atan2(sh(w/2) sh(a/2) |e x p_hat|, ch(w/2) ch(a/2) + sh(w/2) sh(a/2) e . p_hat)
     with a = asinh(|p|/m).
     """
@@ -334,7 +332,7 @@ def wigner_angle_mp(boost, p, digits=60):
         e = [mpf(float(x)) for x in boost.direction]
         k = [mpf(p.px), mpf(p.py), mpf(p.pz)]
         k_mag = mpmath.sqrt(sum(x * x for x in k))
-        mass = mpmath.sqrt(mpf(p.e) ** 2 - k_mag**2)
+        mass = mpf(p.mass)
         k_hat = [x / k_mag for x in k]
         dot = sum(x * y for x, y in zip(e, k_hat))
         cross = (
@@ -348,6 +346,27 @@ def wigner_angle_mp(boost, p, digits=60):
         cos_half = mpmath.cosh(half_w) * mpmath.cosh(half_a) + sh_sh * dot
         sin_half = sh_sh * mpmath.sqrt(sum(x * x for x in cross))
         return float(2 * mpmath.atan2(sin_half, cos_half))
+
+
+def boosted_momentum_mp(boost, mass, p_vec, digits=60):
+    """Spatial momentum of mass ``mass`` after ``boost``, with mpmath at ``digits`` digits.
+
+    The textbook form p + ((cosh w - 1)(e . p) + sinh w E) e with
+    E = sqrt(m^2 + |p|^2), on the float inputs taken as exact; the boost
+    direction is renormalised at full precision.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        mpf = mpmath.mpf
+        e = [mpf(float(x)) for x in boost.direction]
+        e_mag = mpmath.sqrt(sum(x * x for x in e))
+        e = [x / e_mag for x in e]
+        p = [mpf(float(x)) for x in p_vec]
+        w = mpf(boost.rapidity)
+        energy = mpmath.sqrt(mpf(float(mass)) ** 2 + sum(x * x for x in p))
+        shift = (mpmath.cosh(w) - 1) * sum(a * b for a, b in zip(e, p)) + mpmath.sinh(w) * energy
+        return np.array([float(x + shift * a) for x, a in zip(p, e)])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +386,8 @@ def apply_boost_loop(state, boost):
 
     stacks = []
     for particle in state.particles:
-        angles, axes = zip(*(_wigner_angle_axis(boost, m.momentum) for m in particle.modes))
+        modes = zip(particle.masses, particle.momenta)
+        angles, axes = zip(*(_wigner_angle_axis(boost, m, p) for m, p in modes))
         stacks.append(su2_rotations(np.array(angles), np.array(axes)))
     return apply_controlled(state.vector, state.dims, stacks)
 

@@ -22,7 +22,6 @@ from ccrsim import (
     boost_by_wigner_angle,
     boost_direction,
     boost_matrix,
-    boost_momentum,
     ccr,
     linear_entropy,
     make_product_state,
@@ -69,7 +68,7 @@ def test_trivial_boost_keeps_amplitudes():
     state = make_scenario(ScenarioId.XI)
     out = apply_boost(state, BoostSpec(0.0, np.array([1.0, 0.0, 0.0])))
     np.testing.assert_allclose(out.vector, state.vector, atol=1e-15)
-    assert [m.token for m in out.particles[0].modes] == ["Λ+p", "Λ-p"]
+    assert list(out.particles[0].tokens) == ["Λ+p", "Λ-p"]
 
 
 def test_boost_rewrites_momenta():
@@ -77,11 +76,11 @@ def test_boost_rewrites_momenta():
     boost = BoostSpec(1.0, np.array([1.0, 0.0, 0.0]))
     out = apply_boost(state, boost)
     lam = boost_matrix(boost)
-    for before, after in zip(state.particles[0].modes, out.particles[0].modes):
-        expected = boost_momentum(lam, before.momentum)
-        np.testing.assert_allclose(
-            after.momentum.as_array(), expected.as_array(), atol=1e-12
-        )
+    before, after = state.particles[0], out.particles[0]
+    for k in range(before.n_modes):
+        expected = lam @ np.array([before.energies[k], *before.momenta[k]])
+        got = np.array([after.energies[k], *after.momenta[k]])
+        np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_boost_along_x_keeps_triples_for_psi():
@@ -101,7 +100,9 @@ def test_physical_route_matches_angle_route():
     state = make_scenario(ScenarioId.PSI)
     boost = BoostSpec(2.0, boost_direction(0.0))
     phys = apply_boost(state, boost)
-    angle = wigner_rotation(boost, state.particles[0].modes[0].momentum).angle
+    particle = state.particles[0]
+    mode = FourMomentum.from_spatial(particle.masses[0], particle.momenta[0])
+    angle = wigner_rotation(boost, mode).angle
     direct = boost_by_wigner_angle(state, angle, boost_direction(0.0))
     np.testing.assert_allclose(direct.vector, phys.vector, atol=1e-12)
 
@@ -168,9 +169,10 @@ def test_angle_route_matches_closed_form_amplitudes(scenario):
 def test_angle_route_keeps_momenta_but_retags():
     state = make_scenario(ScenarioId.PSI)
     out = boost_by_wigner_angle(state, 0.3, boost_direction(0.2))
-    for before, after in zip(state.particles[0].modes, out.particles[0].modes):
-        assert np.array_equal(before.momentum.as_array(), after.momentum.as_array())
-        assert after.token == "Λ" + before.token
+    before, after = state.particles[0], out.particles[0]
+    assert np.array_equal(before.momenta, after.momenta)
+    assert np.array_equal(before.masses, after.masses)
+    assert after.tokens == tuple("Λ" + token for token in before.tokens)
 
 
 def test_angle_route_validates_angle_range():

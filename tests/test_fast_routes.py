@@ -215,19 +215,27 @@ def test_physical_stacks_equal_the_per_mode_build_bit_for_bit():
             [random_mode_momentum(rng, boost.direction) for _ in range(n_modes)]
             for boost in boosts
         ]
-        stacks = physical_stacks(boosts, momenta)
+        masses = [[p.mass for p in row] for row in momenta]
+        stacks = physical_stacks(boosts, masses, [[p.spatial for p in row] for row in momenta])
         assert stacks.shape == (n_boosts, n_modes, 2, 2)
         for b, (boost, row) in enumerate(zip(boosts, momenta)):
             for m, p in enumerate(row):
-                assert np.array_equal(stacks[b, m], su2_rotations(*_wigner_angle_axis(boost, p)))
+                one = su2_rotations(*_wigner_angle_axis(boost, p.mass, p.spatial))
+                assert np.array_equal(stacks[b, m], one)
 
 
 def test_physical_stacks_refuse_mismatched_batches():
     boost = BoostSpec(1.0, [1.0, 0.0, 0.0])
-    p = FourMomentum.from_spatial(1.0, [0.0, 1.0, 0.0])
-    for boosts, momenta in (([boost], []), ([boost, boost], [[p], [p, p]]), ([boost], [[]])):
+    p = [0.0, 1.0, 0.0]
+    for boosts, masses, momenta in (
+        ([boost], [], []),
+        ([boost, boost], [[1.0]], [[p]]),
+        ([boost], [[]], [[]]),
+        ([boost], [[1.0, 1.0]], [[p]]),
+        ([boost], [1.0], [p]),
+    ):
         with pytest.raises(DimensionMismatch):
-            physical_stacks(boosts, momenta)
+            physical_stacks(boosts, masses, momenta)
 
 
 # Mode counts per particle: the boost-large shapes (3x2, 2x4, 4x2) and one
@@ -304,7 +312,7 @@ def test_wigner_angle_axis_equals_np_cross_reference_bit_for_bit():
             p_vec = rng.normal(size=3) * rng.uniform(0.01, 3.0)
         boost = BoostSpec(rng.uniform(0.0, 50.0), e)
         p = FourMomentum.from_spatial(rng.uniform(0.5, 2.0), p_vec)
-        angle, axis = _wigner_angle_axis(boost, p)
+        angle, axis = _wigner_angle_axis(boost, p.mass, p.spatial)
         ref_angle, ref_axis = wigner_angle_axis_np_cross(boost, p)
         assert angle == ref_angle
         assert np.array_equal(axis, ref_axis)

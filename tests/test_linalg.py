@@ -13,19 +13,13 @@ from ccrsim import (
     NotNormalized,
     BadSubsystemIndex,
     StateVector,
-    apply,
-    dagger,
     kron,
-    matmul,
     outer,
     partial_trace,
     purity,
 )
 from ccrsim.linalg import (
     I2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     apply_controlled,
     check_density_matrices,
     reduce_factor,
@@ -34,6 +28,9 @@ from ccrsim.linalg import (
 from helpers import controlled_unitary_dense, kron_brute, partial_trace_loop
 
 RNG = np.random.default_rng(20260815)
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def random_state(dims):
@@ -47,7 +44,7 @@ def random_matrix(n):
 
 
 # ---------------------------------------------------------------------------
-# kron / dagger / matmul
+# kron
 # ---------------------------------------------------------------------------
 
 
@@ -71,22 +68,6 @@ def test_kron_associative():
     np.testing.assert_allclose(
         kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12
     )
-
-
-def test_dagger():
-    a = random_matrix(3)
-    np.testing.assert_allclose(dagger(dagger(a)), a, atol=0)
-    np.testing.assert_allclose(dagger(a), a.conj().T, atol=0)
-
-
-def test_matmul_pauli_algebra():
-    np.testing.assert_allclose(matmul(SIGMA_X, SIGMA_Y), 1j * SIGMA_Z, atol=0)
-    np.testing.assert_allclose(matmul(SIGMA_X, SIGMA_X), I2, atol=0)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.eye(2), np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -129,27 +110,8 @@ def test_density_matrix_accepts_maximally_mixed():
 
 
 # ---------------------------------------------------------------------------
-# apply / outer
+# outer
 # ---------------------------------------------------------------------------
-
-
-def test_apply_pauli_x_flips_basis_state():
-    psi = StateVector((2,), np.array([1.0, 0.0]))
-    out = apply(SIGMA_X, psi)
-    np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=0)
-    assert out.dims == (2,)
-
-
-def test_apply_rejects_shape_mismatch():
-    psi = StateVector((2,), np.array([1.0, 0.0]))
-    with pytest.raises(DimensionMismatch):
-        apply(np.eye(4), psi)
-
-
-def test_apply_rejects_norm_change():
-    psi = StateVector((2,), np.array([1.0, 0.0]))
-    with pytest.raises(NormNotPreserved):
-        apply(2.0 * SIGMA_X, psi)
 
 
 def test_outer_plus_state_projector():

@@ -20,7 +20,6 @@ from ccrsim import (
     ccr,
     coherence_hs,
     concurrence_momentum_x,
-    concurrence_pure,
     linear_entropy,
     linear_entropy_multiindex,
     make_scenario,
@@ -188,13 +187,6 @@ def test_multiindex_works_on_scenario_states():
 # ---------------------------------------------------------------------------
 # Entanglement quantifiers
 # ---------------------------------------------------------------------------
-
-
-def test_concurrence_pure_bell_and_product():
-    bell = StateVector((2, 2), np.array([1, 0, 0, 1]) / SQ2)
-    assert abs(concurrence_pure(bell, 0) - 1.0) < 1e-12
-    prod = StateVector((2, 2), np.array([1.0, 0.0, 0.0, 0.0]))
-    assert concurrence_pure(prod, 0) == 0.0
 
 
 def test_concurrence_momentum_x_families():

@@ -27,7 +27,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from ccrsim import (  # noqa: E402
     BoostSpec,
     FourMomentum,
-    MomentumMode,
     MultipartiteState,
     Particle,
     ScenarioId,
@@ -89,7 +88,12 @@ def _states(draw):
         spins = [tuple(_unit_complex(draw, 2)) for _ in modes]
         return make_product_state(momenta, spins), True
     particles = tuple(
-        Particle(tuple(MomentumMode(f"k{m}", p) for m, p in enumerate(ps))) for ps in modes
+        Particle(
+            tuple(f"k{m}" for m in range(len(ps))),
+            [p.mass for p in ps],
+            [p.spatial for p in ps],
+        )
+        for ps in modes
     )
     dims = tuple(d for ps in modes for d in (len(ps), 2))
     amps = _unit_complex(draw, math.prod(dims))
@@ -126,11 +130,12 @@ def test_boost_only_moves_momentum_coherence_into_entanglement(drawn, rapidity, 
 def test_spin_entropy_closed_form_for_two_mode_superposition(weight, phase, theta, phi):
     # (a|+p> + b|-p>) (x) |0> with |a|^2 = weight and a relative phase; the
     # modes are those of the scenario states, +-p along y.
-    plus, minus = make_scenario(ScenarioId.PSI).particles[0].modes
+    modes = make_scenario(ScenarioId.PSI).particles[0]
+    plus, minus = (FourMomentum.from_spatial(m, p) for m, p in zip(modes.masses, modes.momenta))
     a = math.sqrt(weight)
     b = math.sqrt(1.0 - weight) * complex(math.cos(phase), math.sin(phase))
     state = make_product_state(
-        [[(plus.token, plus.momentum, a), (minus.token, minus.momentum, b)]], [(1.0, 0.0)]
+        [[(modes.tokens[0], plus, a), (modes.tokens[1], minus, b)]], [(1.0, 0.0)]
     )
     coherence = ccr(state, 0).coherence
     boosted = boost_by_wigner_angle(state, phi, boost_direction(theta))

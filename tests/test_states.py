@@ -8,10 +8,12 @@ import pytest
 from ccrsim import (
     BadPhysicalParams,
     BadSubsystemIndex,
+    DimensionMismatch,
     FourMomentum,
     LabelCollision,
     MOMENTUM,
     NotNormalized,
+    Particle,
     SPIN,
     ScenarioId,
     ThetaOutOfRange,
@@ -38,11 +40,11 @@ def test_boost_direction_endpoints_and_validation():
 def test_scenario_momenta_and_tokens():
     state = make_scenario(ScenarioId.PSI)
     (particle,) = state.particles
-    tokens = [m.token for m in particle.modes]
+    tokens = list(particle.tokens)
     assert tokens == ["+p", "-p"]
-    np.testing.assert_allclose(particle.modes[0].momentum.spatial, [0, 1, 0], atol=0)
-    np.testing.assert_allclose(particle.modes[1].momentum.spatial, [0, -1, 0], atol=0)
-    assert abs(particle.modes[0].momentum.e - math.sqrt(2.0)) < 1e-15
+    np.testing.assert_allclose(particle.momenta[0], [0, 1, 0], atol=0)
+    np.testing.assert_allclose(particle.momenta[1], [0, -1, 0], atol=0)
+    assert abs(particle.energies[0] - math.sqrt(2.0)) < 1e-15
 
 
 def test_scenario_amplitudes():
@@ -153,3 +155,67 @@ def test_particle_mode_collisions():
             momenta=[[("a", p1, 1 / SQ2), ("b", p_close, 1 / SQ2)]],
             spins=[np.array([1.0, 0.0])],
         )
+
+
+def test_particle_validates_its_arrays():
+    p = [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]
+    particle = Particle(("a", "b"), (1.0, 2.0), p)
+    assert particle.n_modes == 2
+    np.testing.assert_allclose(particle.energies, [math.sqrt(2.0), math.sqrt(5.0)], rtol=1e-15)
+    assert not particle.masses.flags.writeable and not particle.momenta.flags.writeable
+    with pytest.raises(BadPhysicalParams):
+        Particle((), (), np.zeros((0, 3)))
+    with pytest.raises(DimensionMismatch):
+        Particle(("a", "b"), (1.0,), p)
+    with pytest.raises(DimensionMismatch):
+        Particle(("a", "b"), (1.0, 1.0), [(0.0, 1.0), (0.0, -1.0)])
+    bad_momentum = [(0.0, math.inf, 0.0), p[1]]
+    for masses, momenta in (((1.0, 0.0), p), ((1.0, -1.0), p), ((1.0, 1.0), bad_momentum)):
+        with pytest.raises(BadPhysicalParams):
+            Particle(("a", "b"), masses, momenta)
+
+
+def test_mode_separation_matches_the_pairwise_check():
+    # Clustered modes, so that many pairs sit near the 1e-9 separation limit.
+    rng = np.random.default_rng(2026)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        centres = rng.normal(size=(3, 3))
+        spread = 10.0 ** rng.uniform(-10, -8)
+        momenta = centres[rng.integers(0, 3, size=n)] + rng.normal(size=(n, 3)) * spread
+        masses = np.full(n, 1.0)
+        q = np.column_stack((np.sqrt(1.0 + np.sum(momenta**2, axis=-1)), momenta))
+        gaps = [np.max(np.abs(q[i] - q[j])) for i in range(n) for j in range(i + 1, n)]
+        collides = min(gaps) <= 1e-9
+        outcomes.add(collides)
+        tokens = tuple(f"k{i}" for i in range(n))
+        if collides:
+            with pytest.raises(LabelCollision):
+                Particle(tokens, masses, momenta)
+        else:
+            Particle(tokens, masses, momenta)
+    assert outcomes == {True, False}
+
+
+def test_many_mode_particle_on_one_energy_shell():
+    # 1,024 modes on a ring share every energy, so the check cannot sort on E.
+    angles = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    ring = np.column_stack((np.cos(angles), np.sin(angles), np.zeros(1024)))
+    tokens = tuple(f"k{i}" for i in range(1024))
+    particle = Particle(tokens, np.ones(1024), ring)
+    assert particle.n_modes == 1024
+    close = ring.copy()
+    close[700] = ring[300] + 4e-10
+    with pytest.raises(LabelCollision, match="'k300' and 'k700'|'k700' and 'k300'"):
+        Particle(tokens, np.ones(1024), close)
+
+
+def test_make_product_state_keeps_the_given_mass():
+    for ratio in (1e-6, 1.0, 1e5, 1e8):
+        mass = 0.7
+        p = FourMomentum.from_spatial(mass, [0.0, mass * ratio, 0.0])
+        assert p.mass == mass
+        state = make_product_state([[("k", p, 1.0)]], [(1.0, 0.0)])
+        assert state.particles[0].masses[0] == mass
+        assert state.particles[0].momenta[0][1] == mass * ratio

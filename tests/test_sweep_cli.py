@@ -226,7 +226,8 @@ def test_run_sweep_matches_per_state_route(scenario):
             assert abs(got - want) < 1e-15
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 3])
+# Half a row: each theta row is split into phi chunks of 2, 2, 2, 2 and 1.
+@pytest.mark.parametrize("rows_per_block", [1, 3, 0.5])
 def test_run_sweep_block_boundaries_leave_csv_unchanged(monkeypatch, tmp_path, rows_per_block):
     config = SweepConfig(
         scenario=ScenarioId.UPSILON,
@@ -235,7 +236,7 @@ def test_run_sweep_block_boundaries_leave_csv_unchanged(monkeypatch, tmp_path, r
     )
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
     whole.write_text(helpers.sweep_csv_text(helpers.sweep_records(config)))
-    monkeypatch.setattr(sweep, "BLOCK_AMPLITUDES", rows_per_block * 9 * 16)
+    monkeypatch.setattr(sweep, "BLOCK_AMPLITUDES", int(rows_per_block * 9 * 16))
     blocked.write_text(helpers.sweep_csv_text(helpers.sweep_records(config)))
     assert whole.read_bytes() == blocked.read_bytes()
 
@@ -559,6 +560,25 @@ def test_run_all_checks_passes_quick_seed():
     failures = [r.name for r in results if not r.passed]
     assert failures == []
     assert len(results) == 20
+
+
+def test_grid_suites_read_theta_rows_split_across_blocks(monkeypatch):
+    # A check-grid row holds 1,040 upsilon amplitudes; a 256-amplitude block
+    # splits it into phi chunks, which the grid suites must join again.
+    from ccrsim import checks
+
+    whole = checks._complementarity_grid()
+    monkeypatch.setattr(sweep, "BLOCK_AMPLITUDES", 256)
+    split = checks._complementarity_grid()
+    assert len(split) > len(whole)
+    assert max(len(block.phis) for _, _, block in split) < len(checks.GRID_PHI)
+    for suite in (
+        checks._check_ccr_identity,
+        checks._check_ccr_invariance,
+        checks._check_measure_ranges,
+        checks._check_upsilon_coherence_growth,
+    ):
+        assert suite(split) == suite(whole)
 
 
 def test_sweep_config_accepts_a_scenario_name():

@@ -257,6 +257,17 @@ def test_apply_controlled_rejects_norm_change_anywhere_in_batch():
         apply_controlled(psi.amplitudes, (2, 2), [np.array([I2, I2, I2])])
 
 
+def test_apply_rejects_shape_mismatch():
+    psi = random_state((2, 2))
+    cnot = np.array([I2, SIGMA_X])
+    with pytest.raises(DimensionMismatch):
+        apply_controlled(psi.amplitudes[:3], (2, 2), [cnot])
+    with pytest.raises(DimensionMismatch):
+        apply_controlled(psi.amplitudes, (2, 2), [cnot, cnot])
+    with pytest.raises(DimensionMismatch):
+        apply_controlled(random_state((2, 2, 2)).amplitudes, (2, 2, 2), [cnot])
+
+
 def test_reduce_factor_matches_partial_trace_over_batches():
     dims = (2, 3, 4)
     states = [random_state(dims) for _ in range(6)]

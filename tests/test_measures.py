@@ -189,6 +189,14 @@ def test_multiindex_works_on_scenario_states():
 # ---------------------------------------------------------------------------
 
 
+def test_concurrence_pure_bell_and_product():
+    # Pure Bell and product states are X-shaped, so the closed form applies.
+    bell = StateVector((2, 2), np.array([1, 0, 0, 1]) / SQ2)
+    assert abs(concurrence_momentum_x(outer(bell)) - 1.0) < 1e-12
+    prod = StateVector((2, 2), np.array([1.0, 0.0, 0.0, 0.0]))
+    assert concurrence_momentum_x(outer(prod)) == 0.0
+
+
 def test_concurrence_momentum_x_families():
     # diag(0, 1/2, 1/2, 0) with anti-diagonal couplings 1/2 -> E = 1.
     full = np.zeros((4, 4))

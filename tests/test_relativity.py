@@ -135,6 +135,40 @@ def test_boost_matrix_preserves_metric():
         assert lam[0, 0] >= 1.0
 
 
+def standard_boost(p):
+    # L(p): the pure boost of rapidity asinh(|p|/m) along p-hat, which takes
+    # the rest momentum (m, 0) to p.
+    k = np.linalg.norm(p.spatial)
+    direction = p.spatial / k if k > 0.0 else np.array([0.0, 0.0, 1.0])
+    return BoostSpec(momentum_rapidity(p), direction)
+
+
+def test_standard_boost_reaches_momentum():
+    # Both momentum routes, the 4x4 matrix and apply_boost's closed form.
+    for _ in range(50):
+        p = random_momentum()
+        boost = standard_boost(p)
+        rest = FourMomentum.from_spatial(p.mass, np.zeros(3))
+        np.testing.assert_allclose(
+            boost_matrix(boost) @ rest.as_array(), p.as_array(), atol=1e-12
+        )
+        state = make_product_state([[("k", rest, 1.0)]], [(1.0, 0.0)])
+        out = apply_boost(state, boost).particles[0]
+        np.testing.assert_allclose(out.momenta[0], p.spatial, atol=1e-12)
+        assert out.masses[0] == p.mass
+
+
+def test_standard_boost_of_rest_momentum_is_identity():
+    rest = FourMomentum.from_spatial(1.0, np.zeros(3))
+    boost = standard_boost(rest)
+    assert boost.rapidity == 0.0
+    assert np.array_equal(boost_matrix(boost), np.eye(4))
+    state = make_product_state([[("k", rest, 1.0)]], [(1.0, 0.0)])
+    out = apply_boost(state, boost)
+    assert np.array_equal(out.particles[0].momenta, np.zeros((1, 3)))
+    assert np.array_equal(out.vector, state.vector)
+
+
 # ---------------------------------------------------------------------------
 # Wigner angle and rotation
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BadPhysicalParams, DimensionMismatch
 from .linalg import StateVector, apply_controlled
-from .relativity import BoostSpec, _boosted_momenta, _wigner_angle_axis, su2_rotations
+from .relativity import BoostSpec, _boosted_momenta, _norms, _wigner_angle_axis, su2_rotations
 from .states import MultipartiteState, Particle, boost_direction
 
 # Direct-angle boosts require the boost plane to be orthogonal to every mode
@@ -129,8 +129,8 @@ def wigner_angle_stacks(
     tokens = [t for particle in particles for t in particle.tokens]
     masses = np.concatenate([particle.masses for particle in particles])
     momenta = np.concatenate([particle.momenta for particle in particles])
-    energies = np.concatenate([particle.energies for particle in particles])
-    p_mag = np.linalg.norm(momenta, axis=-1)
+    p_mag = _norms(momenta)
+    energies = np.hypot(masses, p_mag)  # Particle.energies
     e_ref, m_ref = energies[0], masses[0]
     for bad, what in (
         (p_mag <= 1e-14 * energies, "is at rest; its angle is fixed at 0"),
@@ -147,14 +147,11 @@ def wigner_angle_stacks(
         if bad.any():
             raise BadPhysicalParams(f"mode {tokens[np.argmax(bad)]!r} {what}")
 
-    stacks = []
-    for particle in particles:
-        p_vecs = particle.momenta
-        p_hat = p_vecs / np.linalg.norm(p_vecs, axis=-1, keepdims=True)
-        axes = np.cross(e_hat[..., None, :], p_hat)
-        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-        stacks.append(su2_rotations(phi[..., None], axes))
-    return stacks
+    axes = np.cross(e_hat[..., None, :], momenta / p_mag[:, None])
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    stacks = su2_rotations(phi[..., None], axes)  # (..., all modes, 2, 2)
+    starts = np.cumsum([0] + [particle.n_modes for particle in particles]).tolist()
+    return [stacks[..., a:b, :, :] for a, b in zip(starts, starts[1:])]
 
 
 def wigner_angle_grid(state: MultipartiteState, thetas, phis) -> np.ndarray:

@@ -5,7 +5,8 @@ shows up as a number rather than just a boolean.  Random suites draw from one
 sequentially consumed generator; a fixed seed reproduces the run exactly.
 The suites that boost or reduce random states draw their inputs one by one
 and then evaluate them as one batch (``physical_stacks``,
-``apply_controlled``, ``reduced_matrices``, the multi-index core).  The
+``apply_controlled``, ``linalg.reduced_matrices``, the multi-index core);
+every reduced stack is validated once, by ``reduced_matrices``.  The
 measures are looked up on their modules at call time, so a measure replaced
 at run time reaches every suite that uses it.
 """
@@ -31,7 +32,7 @@ from .relativity import (
     wigner_oracle,
     wigner_rotation,
 )
-from .states import SPIN, ScenarioId, make_scenario, reduced_density_matrix
+from .states import SPIN, ScenarioId, make_scenario
 from .sweep import SweepBlock, SweepConfig, run_sweep
 
 DEFAULT_SEED = 1905
@@ -221,8 +222,7 @@ def _check_single_momentum_separability(rng: np.random.Generator) -> SuiteResult
     masses, momenta = (np.array(column)[:, None] for column in zip(*modes))  # (500, 1) modes
     stacks = physical_stacks(boosts, masses, momenta)
     boosted = linalg.apply_controlled(np.array(spins), (1, 2), [stacks])
-    rho = measures.reduced_matrices(boosted, (1, 2), 1)
-    linalg.check_density_matrices(rho)
+    rho = linalg.reduced_matrices(boosted, (1, 2), 1)
     dev = max(0.0, float(np.max(measures.linear_entropy(rho))))
     return _result("single-momentum-separability", dev, 1e-12)
 
@@ -245,12 +245,11 @@ def _check_scenario_preboost_marginals() -> SuiteResult:
     dev = 0.0
     half = np.eye(2) / 2.0
     up = np.diag([1.0, 0.0])
-    xi2 = make_scenario(ScenarioId.XI2)
-    for idx, expect in ((0, half), (2, half), (1, up), (3, up)):
-        dev = max(dev, float(np.max(np.abs(reduced_density_matrix(xi2, {idx}).matrix - expect))))
-    ups = make_scenario(ScenarioId.UPSILON)
-    for idx in range(4):
-        dev = max(dev, float(np.max(np.abs(reduced_density_matrix(ups, {idx}).matrix - half))))
+    for sid, marginals in (("xi2", (half, up, half, up)), ("upsilon", (half,) * 4)):
+        state = make_scenario(sid)
+        for idx, expect in enumerate(marginals):
+            rho = linalg.reduced_matrices(state.vector, state.dims, idx)
+            dev = max(dev, float(np.max(np.abs(rho - expect))))
     return _result("scenario-preboost-marginals", dev, 1e-12)
 
 
@@ -320,8 +319,7 @@ def _check_entropy_multiindex(rng: np.random.Generator) -> SuiteResult:
         amps = np.array([_random_state(rng, dims).amplitudes for _ in range(100)])
         for sub in range(len(dims)):
             direct = measures.linear_entropy_multiindex_arrays(amps, dims, sub)
-            rho = measures.reduced_matrices(amps, dims, sub)
-            linalg.check_density_matrices(rho)
+            rho = linalg.reduced_matrices(amps, dims, sub)
             dev = max(dev, float(np.max(np.abs(direct - (1.0 - purity(rho))))))
     return _result("entropy-multiindex-equivalence", dev, 1e-12)
 
@@ -329,10 +327,7 @@ def _check_entropy_multiindex(rng: np.random.Generator) -> SuiteResult:
 def _xi2_reductions(thetas, phis, keep: set[int]) -> np.ndarray:
     """Validated reduced matrices of xi2 boosted over a (theta, phi) grid."""
     base = make_scenario(ScenarioId.XI2)
-    amps = wigner_angle_grid(base, thetas, phis)
-    rho = measures.reduced_matrices(amps, base.dims, keep)
-    linalg.check_density_matrices(rho)
-    return rho
+    return linalg.reduced_matrices(wigner_angle_grid(base, thetas, phis), base.dims, keep)
 
 
 def _check_xi2_momentum_marginal() -> SuiteResult:
@@ -346,7 +341,7 @@ def _check_xi2_momentum_marginal() -> SuiteResult:
 
 def _check_xi2_concurrence_monotonic() -> SuiteResult:
     rho = _xi2_reductions((math.pi / 2,), GRID_PHI, {0, 2})[0]
-    values = [concurrence_momentum_x(linalg.DensityMatrix((2, 2), m)) for m in rho]
+    values = [concurrence_momentum_x(m) for m in rho]
     dev = max(0.0, max(b - a for a, b in zip(values, values[1:])))
     return _result("xi2-concurrence-monotonic", dev, 1e-12, "E must not increase with phi")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .boost import boost_by_wigner_angle
 from .checks import DEFAULT_SEED, run_all_checks
-from .errors import CcrsimError, NotXShaped
+from .errors import CcrsimError, ConfigError, NotXShaped
 from .measures import ccr, coherence_hs, concurrence_momentum_x, linear_entropy
 from .relativity import (
     BoostSpec,
@@ -174,18 +174,15 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        env = os.environ.get("CCR_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                print(f"error: CCR_SEED={env!r} is not an integer", file=sys.stderr)
-                return 2
-        else:
-            seed = DEFAULT_SEED
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("CCR_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"CCR_SEED={env!r} is not an integer") from None
+    if seed < 0:  # numpy's generator refuses it with a ValueError
+        raise ConfigError(f"seed {seed} is negative; a seed must be an integer >= 0")
     results = run_all_checks(seed)
     print(f"seed {seed}")
     width = max(len(r.name) for r in results)

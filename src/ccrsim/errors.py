@@ -5,6 +5,10 @@ class CcrsimError(Exception):
     """Base class for every error this package raises on contract violations."""
 
 
+class InvalidArray(CcrsimError, ValueError):
+    """An array holds NaN or Inf, or a matrix is not a valid density matrix."""
+
+
 class NotNormalized(CcrsimError):
     """A state vector or amplitude list is not unit norm within tolerance."""
 
@@ -50,4 +54,4 @@ class NotXShaped(CcrsimError):
 
 
 class ConfigError(CcrsimError):
-    """A sweep configuration is invalid; the message lists every violation."""
+    """A sweep or check configuration is invalid; the message lists every violation."""

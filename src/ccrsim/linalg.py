@@ -8,9 +8,9 @@ the total dimension (the benchmarks run states of up to 256 amplitudes).
 
 ``apply_controlled`` and ``reduce_factor`` also accept leading batch
 axes: a whole grid of states, or one state under a grid of operators, goes
-through one call.  ``reduce_factor`` reduces pure states onto any keep-set;
-``outer`` + ``partial_trace`` is the dense route, and the loop form of the
-partial trace is the oracle in the tests.
+through one call.  ``reduced_matrices`` is the one route from pure-state
+amplitudes to validated reduced matrices; ``outer`` + ``partial_trace`` is the
+dense route, and the loop form of the partial trace is the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -24,13 +24,17 @@ import numpy as np
 from .errors import (
     BadSubsystemIndex,
     DimensionMismatch,
+    GlobalStateNotPure,
+    InvalidArray,
     NormNotPreserved,
     NotNormalized,
 )
 
-# Norm tolerance for state vectors; tighter tolerance for matrix identities.
+# Norm tolerance for state vectors; tighter tolerance for matrix identities;
+# |norm^2 - 1| beyond PURITY_TOL means a global state cannot be treated as pure.
 STATE_NORM_TOL = 1e-10
 MATRIX_TOL = 1e-12
+PURITY_TOL = 1e-10
 
 I2 = np.eye(2, dtype=complex)
 
@@ -43,7 +47,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _check_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} contains NaN or Inf entries")
+        raise InvalidArray(f"{what} contains NaN or Inf entries")
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,6 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", _freeze(m))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the row-major block convention."""
@@ -114,14 +114,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def outer(psi: StateVector) -> DensityMatrix:
     """Rank-1 projector |psi><psi| as a density matrix."""
     v = psi.amplitudes
-    n2 = float(np.real(np.vdot(v, v)))
-    if abs(math.sqrt(n2) - 1.0) > STATE_NORM_TOL:
-        raise NotNormalized(f"cannot project a vector of norm {math.sqrt(n2)!r}")
-    return DensityMatrix(psi.dims, np.outer(v, v.conj()) / n2)
+    return DensityMatrix(psi.dims, np.outer(v, v.conj()) / float(np.real(np.vdot(v, v))))
 
 
-def _keep_list(keep: int | Iterable[int], n: int) -> list[int]:
-    # Sorted keep-set over n factors (a bare index is a one-factor set).
+def _trace_labels(keep: int | Iterable[int], dims: tuple[int, ...]) -> tuple[tuple, list, list]:
+    # Kept dims of a keep-set over factors dims (a bare index is a one-factor
+    # set), einsum column labels (n + i if kept, else row label i), output labels.
+    n = len(dims)
     keep_list = [keep] if isinstance(keep, (int, np.integer)) else sorted(keep)
     if not keep_list:
         raise BadSubsystemIndex("keep-set is empty")
@@ -129,7 +128,8 @@ def _keep_list(keep: int | Iterable[int], n: int) -> list[int]:
         raise BadSubsystemIndex(f"keep-set {keep_list} has repeated indices")
     if keep_list[0] < 0 or keep_list[-1] >= n:
         raise BadSubsystemIndex(f"keep-set {keep_list} out of range for {n} factors")
-    return keep_list
+    cols = [n + i if i in keep_list else i for i in range(n)]
+    return tuple(dims[i] for i in keep_list), cols, keep_list + [n + i for i in keep_list]
 
 
 def partial_trace(rho: DensityMatrix, keep: set[int] | frozenset[int]) -> DensityMatrix:
@@ -144,14 +144,10 @@ def partial_trace(rho: DensityMatrix, keep: set[int] | frozenset[int]) -> Densit
     exact copy.
     """
     n = len(rho.dims)
-    keep_list = _keep_list(keep, n)
-    rows = list(range(n))
-    cols = [n + i if i in keep_list else i for i in range(n)]
-    out_axes = keep_list + [n + i for i in keep_list]
+    kept_dims, cols, out_axes = _trace_labels(keep, rho.dims)
     tensor = rho.matrix.reshape(rho.dims + rho.dims)
-    kept_dims = tuple(rho.dims[i] for i in keep_list)
     d_out = math.prod(kept_dims)
-    out = np.einsum(tensor, rows + cols, out_axes).reshape(d_out, d_out)
+    out = np.einsum(tensor, list(range(n)) + cols, out_axes).reshape(d_out, d_out)
     return DensityMatrix(kept_dims, out)
 
 
@@ -209,18 +205,40 @@ def reduce_factor(
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     n = len(dims)
-    keep_list = _keep_list(keep, n)
+    kept_dims, cols, out_axes = _trace_labels(keep, dims)
     a = amplitudes.reshape(amplitudes.shape[:-1] + tuple(dims))
-    cols = [n + i if i in keep_list else i for i in range(n)]
-    out_axes = [..., *keep_list, *(n + i for i in keep_list)]
-    out = np.einsum(a, [..., *range(n)], a.conj(), [..., *cols], out_axes)
-    d = math.prod(dims[i] for i in keep_list)
+    out = np.einsum(a, [..., *range(n)], a.conj(), [..., *cols], [..., *out_axes])
+    d = math.prod(kept_dims)
     return out.reshape(amplitudes.shape[:-1] + (d, d))
+
+
+def reduced_matrices(
+    amplitudes: np.ndarray, dims: tuple[int, ...], keep: int | Iterable[int]
+) -> np.ndarray:
+    """``(..., d, d)`` reduced matrices of pure states ``(..., prod(dims))`` onto ``keep``.
+
+    Raises GlobalStateNotPure when a squared norm is off 1 by more than
+    ``PURITY_TOL``; within that band ``reduce_factor`` is divided by it, and
+    the stack is validated once (``check_density_matrices``).
+    """
+    norm_sq = _pure_norm_sq(amplitudes)
+    rho = reduce_factor(amplitudes, dims, keep) / norm_sq[..., None, None]
+    check_density_matrices(rho)
+    return rho
 
 
 def _norm_sq(amplitudes: np.ndarray) -> np.ndarray:
     # Squared 2-norm over the last axis, kept real.
     return np.sum(amplitudes.real**2 + amplitudes.imag**2, axis=-1)
+
+
+def _pure_norm_sq(amplitudes: np.ndarray) -> np.ndarray:
+    # Squared norms of pure states, within the PURITY_TOL band of every route.
+    norm_sq = _norm_sq(amplitudes)
+    worst = float(np.abs(norm_sq - 1.0).max())
+    if not worst <= PURITY_TOL:  # also catches NaN
+        raise GlobalStateNotPure(f"squared norm deviates from 1 by {worst!r}")
+    return norm_sq
 
 
 def check_density_matrices(m: np.ndarray) -> None:
@@ -232,17 +250,21 @@ def check_density_matrices(m: np.ndarray) -> None:
     d = m.shape[-1]
     _check_finite(m, "density matrix")
     if np.abs(m - np.swapaxes(m, -1, -2).conj()).max() > MATRIX_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
+        raise InvalidArray("density matrix is not Hermitian within tolerance")
     worst = np.abs(m.trace(axis1=-2, axis2=-1) - 1.0).max()
     if worst > MATRIX_TOL:
-        raise ValueError(f"density matrix trace deviates from 1 by {worst!r}, beyond {MATRIX_TOL}")
+        raise InvalidArray(f"density matrix trace is off 1 by {worst!r}, beyond {MATRIX_TOL}")
     pur = np.asarray(purity(m))
     if pur.min() < 1.0 / d - STATE_NORM_TOL or pur.max() > 1.0 + STATE_NORM_TOL:
-        raise ValueError(f"purity outside [1/{d}, 1]: {pur.min()!r} to {pur.max()!r}")
+        raise InvalidArray(f"purity outside [1/{d}, 1]: {pur.min()!r} to {pur.max()!r}")
+
+
+def _matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    return rho.matrix if isinstance(rho, DensityMatrix) else rho
 
 
 def purity(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """Tr rho^2 as a real number, or an array of them for a ``(..., d, d)`` stack."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    m = _matrix(rho)
     pur = np.einsum("...ij,...ji->...", m, m).real
     return float(pur) if pur.ndim == 0 else pur

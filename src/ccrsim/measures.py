@@ -31,53 +31,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    BadSubsystemIndex,
-    DimensionMismatch,
-    GlobalStateNotPure,
-    NotXShaped,
-)
+from .errors import BadSubsystemIndex, DimensionMismatch, NotXShaped
 from .linalg import (
     DensityMatrix,
     StateVector,
-    _norm_sq,
-    check_density_matrices,
+    _matrix,
+    _pure_norm_sq,
     purity,
-    reduce_factor,
+    reduced_matrices,
 )
-from .states import MultipartiteState
-
-# |norm^2 - 1| beyond this means the global state cannot be treated as pure.
-PURITY_TOL = 1e-10
+from .states import MultipartiteState, _as_state_vector
 
 _X_TOL = 1e-10
-
-
-def _as_state_vector(state: MultipartiteState | StateVector) -> StateVector:
-    return state.amplitudes if isinstance(state, MultipartiteState) else state
-
-
-def reduced_matrices(
-    amplitudes: np.ndarray, dims: tuple[int, ...], keep: int | Iterable[int]
-) -> np.ndarray:
-    """Unit-trace ``reduce_factor`` of pure states onto ``keep``, not validated.
-
-    Raises GlobalStateNotPure when a squared norm is off 1 by more than
-    ``PURITY_TOL``; within that band the reduction is divided by it.
-    """
-    norm_sq = _norm_sq(amplitudes)
-    worst = float(np.abs(norm_sq - 1.0).max())
-    if not worst <= PURITY_TOL:  # also catches NaN
-        raise GlobalStateNotPure(f"squared norm deviates from 1 by {worst!r}")
-    return reduce_factor(amplitudes, dims, keep) / norm_sq[..., None, None]
-
-
-def _matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else rho
 
 
 def _value(x: np.ndarray) -> float | np.ndarray:
@@ -131,17 +99,11 @@ def _triple(rho: DensityMatrix | np.ndarray) -> tuple:
     return p, c, s, abs(p + c + s - (d - 1.0) / d)
 
 
-def _factor_rho(state: MultipartiteState | StateVector, subsystem: int) -> DensityMatrix:
-    sv = _as_state_vector(state)
-    rho = reduced_matrices(sv.amplitudes, sv.dims, subsystem)
-    return DensityMatrix((sv.dims[subsystem],), rho)
-
-
 def ccr(state: MultipartiteState | StateVector, subsystem: int) -> ComplementarityTriple:
-    """Complementarity triple of one single-factor subsystem of a pure state."""
-    rho = _factor_rho(state, subsystem)
-    p, c, s, residual = _triple(rho)
-    return ComplementarityTriple(p, c, s, rho.dim, residual)
+    """Complementarity triple of one single-factor subsystem of a pure state (``ccr_arrays``)."""
+    sv = _as_state_vector(state)
+    p, c, s, residual = ccr_arrays(sv.amplitudes, sv.dims, subsystem)
+    return ComplementarityTriple(p, c, s, sv.dims[subsystem], residual)
 
 
 def ccr_arrays(
@@ -150,13 +112,10 @@ def ccr_arrays(
     """(P, C, S, residual) of one factor over a batch of pure states.
 
     ``amplitudes`` has shape ``(..., prod(dims))``; each result has the
-    leading shape.  The checks are those of ``ccr``, on whole arrays: every
-    squared norm within ``PURITY_TOL`` of 1, and every reduced matrix a
-    valid density matrix.
+    leading shape (a float for one state).  The checks are those of
+    ``reduced_matrices``.
     """
-    rho = reduced_matrices(amplitudes, dims, subsystem)
-    check_density_matrices(rho)
-    return _triple(rho)
+    return _triple(reduced_matrices(amplitudes, dims, subsystem))
 
 
 def linear_entropy_multiindex_arrays(
@@ -168,6 +127,7 @@ def linear_entropy_multiindex_arrays(
     shape.  Works directly on global elements rho_{A,B} = v_A conj(v_B),
     indexed as rho[..., i1, j1, I, J] and summed under one boolean mask
     (i1 != j1, I != J); no reduced matrix and no partial trace are involved.
+    The states must lie in the norm band of ``reduced_matrices``.
     """
     dims = tuple(dims)
     if not 0 <= subsystem < len(dims):
@@ -175,6 +135,7 @@ def linear_entropy_multiindex_arrays(
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape[-1:] != (math.prod(dims),):
         raise DimensionMismatch(f"amplitudes {amplitudes.shape} do not fit factor dims {dims}")
+    _pure_norm_sq(amplitudes)
     batch = amplitudes.shape[:-1]
     d = dims[subsystem]
     v = amplitudes.reshape(batch + (math.prod(dims[:subsystem]), d, -1))
@@ -198,12 +159,12 @@ def linear_entropy_multiindex(state: MultipartiteState | StateVector, subsystem:
     return float(linear_entropy_multiindex_arrays(sv.amplitudes, sv.dims, subsystem))
 
 
-def concurrence_momentum_x(rho: DensityMatrix) -> float:
+def concurrence_momentum_x(rho: DensityMatrix | np.ndarray) -> float:
     """Wootters concurrence of a two-mode-pair X-shaped mixed state.
 
-    ``rho`` must be a 4x4 matrix over dims (2, 2); any weight beyond the
-    diagonal / anti-diagonal X pattern (above 1e-10) raises NotXShaped.  For
-    an X state the concurrence has the closed form
+    ``rho`` must be a 4x4 matrix over dims (2, 2), or one of a validated stack;
+    any weight beyond the diagonal / anti-diagonal X pattern (above 1e-10)
+    raises NotXShaped.  For an X state the concurrence has the closed form
 
         E = 2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)).
 
@@ -212,9 +173,9 @@ def concurrence_momentum_x(rho: DensityMatrix) -> float:
     rho_00 = rho_33 = 0 (the two particles never share a momentum), which is
     why ``ccrsim scenario`` labels the value ``E = sqrt(2 C_hs)``.
     """
-    if rho.dims != (2, 2):
-        raise DimensionMismatch(f"expected a (2, 2) mode-pair matrix, got dims {rho.dims}")
-    m = rho.matrix
+    m = _matrix(rho)
+    if m.shape != (4, 4) or (isinstance(rho, DensityMatrix) and rho.dims != (2, 2)):
+        raise DimensionMismatch(f"expected a (2, 2) mode-pair matrix, got shape {m.shape}")
     allowed = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}
     for i in range(4):
         for j in range(4):

@@ -62,6 +62,11 @@ _TIMELIKE_REL_TOL = 1e-10
 _DEFAULT_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    # |v| of (..., 3) vectors by hypot: exact on an axis, no overflow from squares.
+    return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+
+
 def _unit3(v, what: str) -> np.ndarray:
     a = np.array(v, dtype=float).reshape(-1)
     if a.shape != (3,):
@@ -81,7 +86,8 @@ class FourMomentum:
     The boundary type; particles hold masses and momenta as arrays.
     ``FourMomentum(e, px, py, pz)`` recovers m = sqrt((e - |p|)(e + |p|)) and
     refuses m^2 <= 1e-10 e^2.  ``from_spatial(mass, p)`` keeps the given mass
-    exactly, for any |p|/m, and rounds e, which only the 4x4 oracle reads.
+    exactly, for any |p|/m, and rounds e, which only the 4x4 oracle reads; it
+    refuses an e that overflows float64.
     """
 
     e: float
@@ -108,9 +114,15 @@ class FourMomentum:
         if not (math.isfinite(mass) and mass > 0.0):
             raise BadPhysicalParams(f"mass must be positive and finite, got {mass!r}")
         p = np.asarray(p_vec, dtype=float).reshape(-1)
-        e = math.sqrt(mass**2 + float(p @ p))
-        if p.shape != (3,) or not math.isfinite(e):
+        if p.shape != (3,) or not np.isfinite(p).all():
             raise BadPhysicalParams(f"momentum {p_vec!r} is not a finite 3-vector")
+        try:
+            with np.errstate(over="ignore"):
+                e = math.sqrt(mass**2 + float(p @ p))
+        except OverflowError:  # from mass**2
+            e = math.inf
+        if not math.isfinite(e):
+            raise BadPhysicalParams(f"m^2 + |p|^2 overflows at mass {mass!r}, p {p.tolist()}")
         out = cls.__new__(cls)  # the mass is given: skip its recovery from e
         for name, value in zip(("e", "px", "py", "pz", "mass"), (e, *p.tolist(), float(mass))):
             object.__setattr__(out, name, value)

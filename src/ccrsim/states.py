@@ -38,8 +38,8 @@ from .errors import (
     NotNormalized,
     ThetaOutOfRange,
 )
-from .linalg import STATE_NORM_TOL, DensityMatrix, StateVector, _norm_sq, reduce_factor
-from .relativity import FourMomentum
+from .linalg import STATE_NORM_TOL, DensityMatrix, StateVector, reduced_matrices
+from .relativity import FourMomentum, _norms
 
 # Two numeric momenta closer than this (max-norm) no longer label distinct modes.
 MODE_SEPARATION_TOL = 1e-9
@@ -91,19 +91,21 @@ class Particle:
             raise LabelCollision(f"momentum tokens are not distinct: {tokens}")
         object.__setattr__(self, "tokens", tokens)
         self._set_modes(masses, momenta)
+        _check_separation(self)
 
     def _set_modes(self, masses: np.ndarray, momenta: np.ndarray) -> None:
         for name, array in (("masses", masses), ("momenta", momenta)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        _check_separation(self)
 
     def _boosted(self, momenta: np.ndarray | None = None) -> "Particle":
-        # Tagged tokens stay distinct and the masses are kept; the momenta
-        # (None: unchanged) are checked, as a boost can contract modes together.
+        # Tagged tokens stay distinct and the masses are kept; new momenta are
+        # checked, as a boost can contract modes together (None: unchanged).
         out = Particle.__new__(Particle)
         object.__setattr__(out, "tokens", tuple(BOOST_TAG + t for t in self.tokens))
         out._set_modes(self.masses, self.momenta if momenta is None else momenta)
+        if momenta is not None:
+            _check_separation(out)
         return out
 
     @property
@@ -112,8 +114,8 @@ class Particle:
 
     @property
     def energies(self) -> np.ndarray:
-        """On-shell energies sqrt(m^2 + |p|^2), shape (M,)."""
-        return np.sqrt(self.masses**2 + np.sum(self.momenta**2, axis=-1))
+        """On-shell energies hypot(m, |p|), shape (M,), formed without squares."""
+        return np.hypot(self.masses, _norms(self.momenta))
 
 
 def _check_separation(particle: Particle) -> None:
@@ -190,15 +192,19 @@ class MultipartiteState:
         return "".join(f"|{token},{spin}>" for token, spin in zip(tokens, parts[1::2]))
 
 
-def reduced_density_matrix(state: MultipartiteState, keep: set[int] | frozenset[int]) -> DensityMatrix:
+def _as_state_vector(state: MultipartiteState | StateVector) -> StateVector:
+    return state.amplitudes if isinstance(state, MultipartiteState) else state
+
+
+def reduced_density_matrix(state: MultipartiteState | StateVector, keep: set[int]) -> DensityMatrix:
     """Reduced density matrix of the kept factors, straight from the amplitudes.
 
-    No global projector is formed (``linalg.reduce_factor``).  An empty,
+    ``linalg.reduced_matrices``, with the norm band of ``ccr``.  An empty,
     repeated or out-of-range keep-set raises BadSubsystemIndex.
     """
-    v = state.vector
-    rho = reduce_factor(v, state.dims, keep) / _norm_sq(v)
-    return DensityMatrix(tuple(state.dims[i] for i in sorted(keep)), rho)
+    sv = _as_state_vector(state)
+    rho = reduced_matrices(sv.amplitudes, sv.dims, keep)
+    return DensityMatrix(tuple(sv.dims[i] for i in sorted(keep)), rho)
 
 
 def boost_direction(theta: float) -> np.ndarray:

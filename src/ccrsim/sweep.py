@@ -86,7 +86,9 @@ class SweepConfig:
                     problems.append(f"{name} value {v!r} outside [0, pi/2]")
         n_particles = 2 if scenario in (ScenarioId.XI2, ScenarioId.UPSILON) else 1
         if self.subsystems is not None:
-            for particle, dof in self.subsystems:
+            for n, (particle, dof) in enumerate(self.subsystems):
+                if (particle, dof) in self.subsystems[:n]:
+                    problems.append(f"subsystem {particle}:{dof} is listed more than once")
                 if scenario is not None and not 0 <= particle < n_particles:
                     problems.append(
                         f"subsystem particle {particle} out of range for {scenario.value}"

@@ -29,6 +29,7 @@ from ccrsim import (
     reduced_density_matrix,
     wigner_rotation,
 )
+from ccrsim import states
 import helpers
 
 RNG = np.random.default_rng(424242)
@@ -173,6 +174,29 @@ def test_angle_route_keeps_momenta_but_retags():
     assert np.array_equal(before.momenta, after.momenta)
     assert np.array_equal(before.masses, after.masses)
     assert after.tokens == tuple("Λ" + token for token in before.tokens)
+
+
+def test_only_the_physical_route_rechecks_mode_separation(monkeypatch):
+    state = make_scenario(ScenarioId.XI2)
+    checked = []
+    check = states._check_separation
+    monkeypatch.setattr(states, "_check_separation", lambda p: checked.append(p) or check(p))
+    boost_by_wigner_angle(state, 0.3, boost_direction(0.2))
+    assert checked == []
+    out = apply_boost(state, BoostSpec(1.0, np.array([1.0, 0.0, 0.0])))
+    assert checked == list(out.particles)
+
+
+@pytest.mark.parametrize("p_mag", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_angle_route_at_extreme_momenta_matches_unit_momenta(p_mag, scenario):
+    big = make_scenario(scenario, p_mag)
+    assert np.all(big.particles[0].energies == p_mag)
+    unit = make_scenario(scenario)
+    for theta, phi in ((0.5, 0.5), (0.0, 0.5), (math.pi / 2, 1.2)):
+        direction = boost_direction(theta)
+        got = boost_by_wigner_angle(big, phi, direction).vector
+        assert np.array_equal(got, boost_by_wigner_angle(unit, phi, direction).vector)
 
 
 def test_angle_route_validates_angle_range():

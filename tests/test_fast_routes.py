@@ -33,7 +33,7 @@ from ccrsim import (
     make_scenario,
     reduced_density_matrix,
 )
-from ccrsim import checks, linalg, measures
+from ccrsim import checks, linalg, measures, sweep
 from ccrsim.boost import physical_stacks
 from ccrsim.linalg import reduce_factor
 from ccrsim.relativity import (
@@ -107,6 +107,45 @@ def test_reduced_density_matrix_matches_dense_route_for_every_keep_set():
         expected = linalg.partial_trace(dense, set(keep))
         assert rho.dims == expected.dims
         np.testing.assert_allclose(rho.matrix, expected.matrix, rtol=0, atol=1e-15)
+
+
+def test_each_reduced_stack_is_validated_once(monkeypatch):
+    calls = []
+    check = linalg.check_density_matrices
+
+    def counted(m):
+        calls.append(m.shape)
+        check(m)
+
+    monkeypatch.setattr(linalg, "check_density_matrices", counted)
+
+    def shapes(run, *args):
+        calls.clear()
+        run(*args)
+        return list(calls)
+
+    upsilon = make_scenario(ScenarioId.UPSILON)
+    assert shapes(measures.ccr, upsilon, 1) == [(2, 2)]
+    amps = random_amplitudes(np.random.default_rng(2), (2, 3, 2), (5,))
+    assert shapes(measures.ccr_arrays, amps, (2, 3, 2), 1) == [(5, 3, 3)]
+
+    # Three blocks of 2 x 3 cells, each reduced onto its four subsystems.
+    monkeypatch.setattr(sweep, "BLOCK_AMPLITUDES", 2 * 3 * 16)
+    config = sweep.SweepConfig(ScenarioId.UPSILON, (0.0, 0.2, 0.4, 0.6, 0.8, 1.0), (0.1, 0.2, 0.3))
+    calls.clear()
+    blocks = 0
+    for _ in sweep.run_sweep(config):
+        assert calls == [(2, 3, 2, 2)] * 4
+        calls.clear()
+        blocks += 1
+    assert blocks == 3
+
+    rng = np.random.default_rng(3)
+    assert shapes(checks._check_single_momentum_separability, rng) == [(500, 2, 2)]
+    assert shapes(checks._check_entropy_multiindex, rng) == [(100, 2, 2)] * 7
+    assert shapes(checks._check_xi2_momentum_marginal) == [(5, 17, 2, 2)] * 2
+    assert shapes(checks._check_xi2_concurrence_monotonic) == [(1, 65, 4, 4)]
+    assert shapes(checks._check_scenario_preboost_marginals) == [(2, 2)] * 8
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ccrsim import (
+    CcrsimError,
     DensityMatrix,
     DimensionMismatch,
     NormNotPreserved,
@@ -289,6 +290,13 @@ def test_check_density_matrices_flags_one_bad_matrix_in_a_stack():
         check_density_matrices(np.array([good, 1.1 * good]))
     with pytest.raises(ValueError, match="purity"):
         check_density_matrices(np.array([good, np.array([[1.5, 0], [0, -0.5]])]))
+
+
+def test_bad_arrays_raise_a_package_error():
+    with pytest.raises(CcrsimError, match="NaN"):
+        StateVector((2,), [np.nan, 1.0])
+    with pytest.raises(CcrsimError, match="Hermitian"):
+        DensityMatrix((2,), [[0.5, 0.1], [0.0, 0.5]])
 
 
 def test_purity_values():

@@ -141,11 +141,14 @@ def test_ccr_rejects_bad_subsystem():
         ccr(psi, 2)
 
 
-def test_ccr_rejects_norm_drift():
+@pytest.mark.parametrize(
+    "route, keep", [(ccr, 0), (reduced_density_matrix, {0}), (linear_entropy_multiindex, 0)]
+)
+def test_ccr_rejects_norm_drift(route, keep):
     v = np.array([1.0 + 9e-11, 0.0, 0.0, 0.0])
     psi = StateVector((2, 2), v)  # norm - 1 = 9e-11 passes the state band
     with pytest.raises(GlobalStateNotPure):
-        ccr(psi, 0)  # but norm**2 - 1 ~ 1.8e-10 exceeds the purity band
+        route(psi, keep)  # but norm**2 - 1 ~ 1.8e-10 exceeds the purity band
 
 
 # ---------------------------------------------------------------------------

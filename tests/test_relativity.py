@@ -87,6 +87,16 @@ def test_four_momentum_requires_timelike():
     assert abs(p.e - math.sqrt(5.0)) < 1e-12
 
 
+def test_from_spatial_refuses_an_energy_that_overflows():
+    too_large = ((1.0, [0.0, 1e200, 0.0]), (1e200, [0.0, 1.0, 0.0]), (1e154, [1e154, 1e154, 0.0]))
+    for mass, p_vec in too_large:
+        with pytest.raises(BadPhysicalParams, match="overflows"):
+            FourMomentum.from_spatial(mass, p_vec)
+    p_vec = np.array([3e153, 4e153, 0.0])
+    p = FourMomentum.from_spatial(2.5, p_vec)
+    assert p.e == math.sqrt(2.5**2 + float(p_vec @ p_vec)) == 5e153
+
+
 def test_boost_spec_validation():
     with pytest.raises(BadPhysicalParams):
         BoostSpec(-0.5, np.array([1.0, 0.0, 0.0]))

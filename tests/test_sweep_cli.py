@@ -555,6 +555,18 @@ def test_cli_check_env_seed_must_be_int(monkeypatch, capsys):
     assert "CCR_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, env", [(["check", "--seed", "-1"], None), (["check"], "-3")])
+def test_cli_check_refuses_a_negative_seed(monkeypatch, capsys, argv, env):
+    if env is None:
+        monkeypatch.delenv("CCR_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CCR_SEED", env)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: seed -") and "negative" in err
+
+
 def test_run_all_checks_passes_quick_seed():
     results = run_all_checks(seed=11)
     failures = [r.name for r in results if not r.passed]
@@ -579,6 +591,37 @@ def test_grid_suites_read_theta_rows_split_across_blocks(monkeypatch):
         checks._check_upsilon_coherence_growth,
     ):
         assert suite(split) == suite(whole)
+
+
+def test_sweep_config_refuses_a_repeated_subsystem(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="subsystem 0:spin is listed more than once"):
+        SweepConfig("psi", (0.1,), (0.2,), subsystems=((0, "spin"), (0, "spin")))
+    with pytest.raises(ConfigError, match="subsystem 1:momentum is listed more than once"):
+        build_config(None, scenario="xi2", subsystems="1:momentum, 0:spin, 1:momentum")
+    config = tmp_path / "sweep.cfg"
+    config.write_text("scenario = psi\nsubsystems = 0:spin, 0:momentum, 0:spin\n")
+    for argv in (
+        ["sweep", "--id", "psi", "--subsystems", "0:spin,0:spin", "--theta", "0.1", "--phi", "0.2"],
+        ["sweep", "--config", str(config)],
+    ):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "listed more than once" in err
+
+
+def test_cli_at_extreme_momenta_prints_what_unit_momenta_print(capsys):
+    def run(argv):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    for scenario, p_mag in (("psi", "1e200"), ("upsilon", "1e160")):
+        argv = ["scenario", "--id", scenario, "--theta", "0.5", "--phi", "0.5"]
+        big, unit = run(argv + ["--p-mag", p_mag]), run(argv)
+        assert big.splitlines()[1:] == unit.splitlines()[1:]
+    argv = ["sweep", "--id", "xi2", "--theta", "0:1.5707963267948966:3"]
+    assert run(argv + ["--p-mag", "1e300"]) == run(argv)
+    assert cli.main(["wigner", "--omega", "1", "--p-mag", "1e200"]) == 2
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_sweep_config_accepts_a_scenario_name():

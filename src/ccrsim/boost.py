@@ -17,10 +17,11 @@ the momenta untouched.  Both routes prepend ``BOOST_TAG`` to every token.
 Both routes hand one ``(M, 2, 2)`` stack of D matrices per particle to
 ``linalg.apply_controlled``, which contracts each into that particle's
 (momentum, spin) axes of the amplitude tensor; the dense controlled unitary
-is never formed.  ``physical_stacks`` builds the D matrices of the physical
-route for a whole batch of boosts at once from mass and momentum arrays:
-``apply_boost`` makes one call for all its particles of one mode count, and
-the check battery one call for all draws of a random-boost suite.
+is never formed.  The physical route takes every angle and axis from one
+call of the array closed form ``relativity._wigner_angles_axes``:
+``apply_boost`` makes that call once for all modes of all its particles and
+splits the stack per particle, and ``physical_stacks`` once for a whole
+batch of boosts, such as all draws of a random-boost check suite.
 ``wigner_angle_grid`` boosts a state over a whole (theta, phi) grid at once,
 which is how ``sweep`` evaluates its blocks and the check battery its xi2
 suites.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import BadPhysicalParams, DimensionMismatch
 from .linalg import StateVector, apply_controlled
-from .relativity import BoostSpec, _boosted_momenta, _norms, _wigner_angle_axis, su2_rotations
+from .relativity import BoostSpec, _boosted_momenta, _norms, _wigner_angles_axes, su2_rotations
 from .states import MultipartiteState, Particle, boost_direction
 
 # Direct-angle boosts require the boost plane to be orthogonal to every mode
@@ -54,9 +55,9 @@ def physical_stacks(boosts: Sequence[BoostSpec], masses, momenta) -> np.ndarray:
     """Spin rotations D(W(boost, p)) of a batch of boosts, ``(B, M, 2, 2)``.
 
     Boost ``b`` acts on M modes of masses ``masses[b]`` and momenta
-    ``momenta[b]`` (arrays (B, M) and (B, M, 3)).  Each angle and axis comes
-    from the per-mode closed form (``relativity._wigner_angle_axis``), and one
-    ``su2_rotations`` call builds and validates the whole stack.
+    ``momenta[b]`` (arrays (B, M) and (B, M, 3)).  One call of the closed
+    form (``relativity._wigner_angles_axes``) gives every angle and axis, and
+    one ``su2_rotations`` call builds and validates the whole stack.
     """
     masses = np.asarray(masses, dtype=float)
     momenta = np.asarray(momenta, dtype=float)
@@ -67,16 +68,9 @@ def physical_stacks(boosts: Sequence[BoostSpec], masses, momenta) -> np.ndarray:
             f"{len(boosts)} boosts need masses (B, M) and momenta (B, M, 3), M > 0; "
             f"got {masses.shape} and {momenta.shape}"
         )
-    angles, axes = zip(
-        *(
-            _wigner_angle_axis(boost, m, p)
-            for boost, m_row, p_row in zip(boosts, masses.tolist(), momenta)
-            for m, p in zip(m_row, p_row)
-        )
-    )
-    return su2_rotations(
-        np.array(angles).reshape(masses.shape), np.array(axes).reshape(momenta.shape)
-    )
+    w = np.array([[boost.rapidity] for boost in boosts])  # (B, 1)
+    e = np.array([[boost.direction] for boost in boosts])  # (B, 1, 3)
+    return su2_rotations(*_wigner_angles_axes(w, e, masses, momenta))
 
 
 def apply_boost(state: MultipartiteState, boost: BoostSpec) -> MultipartiteState:
@@ -86,25 +80,14 @@ def apply_boost(state: MultipartiteState, boost: BoostSpec) -> MultipartiteState
     the mode-separation tolerance of each other.
     """
     particles = state.particles
-    counts = [p.n_modes for p in particles]
-    new_momenta = _boosted_momenta(
-        boost,
-        np.concatenate([p.masses for p in particles]),
-        np.concatenate([p.momenta for p in particles]),
-    )
-    starts = np.cumsum([0] + counts).tolist()
-    new_particles = [p._boosted(new_momenta[a:b]) for p, a, b in zip(particles, starts, starts[1:])]
-    # One physical_stacks call per distinct mode count.
-    stacks = {}
-    for n_modes in set(counts):
-        group = [k for k, n in enumerate(counts) if n == n_modes]
-        batch = physical_stacks(
-            [boost] * len(group),
-            [particles[k].masses for k in group],
-            [particles[k].momenta for k in group],
-        )
-        stacks.update(zip(group, batch))
-    return _boosted(state, new_particles, [stacks[k] for k in range(len(particles))])
+    masses = np.concatenate([p.masses for p in particles])
+    momenta = np.concatenate([p.momenta for p in particles])
+    new_momenta = _boosted_momenta(boost, masses, momenta)
+    stack = su2_rotations(*_wigner_angles_axes(boost.rapidity, boost.direction, masses, momenta))
+    starts = np.cumsum([0] + [p.n_modes for p in particles]).tolist()
+    bounds = list(zip(starts, starts[1:]))
+    new_particles = [p._boosted(new_momenta[a:b]) for p, (a, b) in zip(particles, bounds)]
+    return _boosted(state, new_particles, [stack[a:b] for a, b in bounds])
 
 
 def wigner_angle_stacks(

@@ -3,9 +3,10 @@
 Each suite reports its worst deviation against its tolerance, so a regression
 shows up as a number rather than just a boolean.  Random suites draw from one
 sequentially consumed generator; a fixed seed reproduces the run exactly.
-The suites that boost or reduce random states draw their inputs one by one
-and then evaluate them as one batch (``physical_stacks``,
-``apply_controlled``, ``linalg.reduced_matrices``, the multi-index core);
+The suites that boost, rotate or reduce random states draw their inputs one
+by one and then evaluate them as one batch (the Wigner closed form,
+``physical_stacks``, ``apply_controlled``, ``linalg.reduced_matrices``, the
+multi-index core; only the 4x4 oracle runs draw by draw);
 every reduced stack is validated once, by ``reduced_matrices``.  The
 measures are looked up on their modules at call time, so a measure replaced
 at run time reaches every suite that uses it.
@@ -27,10 +28,11 @@ from .relativity import (
     METRIC,
     BoostSpec,
     FourMomentum,
+    _wigner_angles_axes,
     boost_matrix,
     rotation_angle,
+    su2_rotations,
     wigner_oracle,
-    wigner_rotation,
 )
 from .states import SPIN, ScenarioId, make_scenario
 from .sweep import SweepBlock, SweepConfig, run_sweep
@@ -145,22 +147,22 @@ def _check_outer_psd(rng: np.random.Generator) -> SuiteResult:
 
 
 def _check_wigner_su2(rng: np.random.Generator) -> SuiteResult:
-    dev = 0.0
-    for _ in range(100):
-        w = wigner_rotation(_random_boost(rng), _random_momentum(rng))
-        m = w.matrix
-        dev = max(dev, float(np.max(np.abs(m @ m.conj().T - np.eye(2)))))
-        dev = max(dev, abs(complex(np.linalg.det(m)) - 1.0))
+    boosts, modes = zip(*[(_random_boost(rng), _random_mode(rng)) for _ in range(100)])
+    masses, momenta = (np.array(column)[:, None] for column in zip(*modes))  # (100, 1) modes
+    m = physical_stacks(boosts, masses, momenta)
+    dev = float(np.max(np.abs(m @ np.swapaxes(m, -1, -2).conj() - np.eye(2))))
+    dev = max(dev, float(np.max(np.abs(np.linalg.det(m) - 1.0))))
     return _result("wigner-su2", dev, 1e-12)
 
 
 def _check_wigner_oracle_agreement(rng: np.random.Generator) -> SuiteResult:
+    draws = [(_random_boost(rng), _random_momentum(rng)) for _ in range(100)]
+    columns = zip(*((b.rapidity, b.direction, p.mass, p.spatial) for b, p in draws))
+    angles, _ = _wigner_angles_axes(*map(np.array, columns))
     dev = 0.0
-    for _ in range(100):
-        boost = _random_boost(rng)
-        p = _random_momentum(rng)
+    for (boost, p), angle in zip(draws, angles.tolist()):
         w = wigner_oracle(boost, p)
-        dev = max(dev, abs(rotation_angle(w) - wigner_rotation(boost, p).angle))
+        dev = max(dev, abs(rotation_angle(w) - angle))
         k = np.array([p.mass, 0.0, 0.0, 0.0])
         dev = max(dev, float(np.max(np.abs(w @ k - k))))
         r = w[1:, 1:]
@@ -178,16 +180,15 @@ def _check_boost_metric(rng: np.random.Generator) -> SuiteResult:
 
 
 def _check_collinear_identity(rng: np.random.Generator) -> SuiteResult:
-    dev = 0.0
+    draws = []  # (rapidity, direction, mass, momentum)
     for _ in range(50):
         direction = _random_unit3(rng)
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        p = FourMomentum.from_spatial(
-            rng.uniform(0.5, 2.0), sign * rng.uniform(0.1, 3.0) * direction
-        )
-        boost = BoostSpec(rng.uniform(0.0, 5.0), direction)
-        w = wigner_rotation(boost, p)
-        dev = max(dev, float(np.max(np.abs(w.matrix - np.eye(2)))), abs(w.angle))
+        mass, momentum = rng.uniform(0.5, 2.0), sign * rng.uniform(0.1, 3.0) * direction
+        draws.append((rng.uniform(0.0, 5.0), direction, mass, momentum))
+    angles, axes = _wigner_angles_axes(*map(np.array, zip(*draws)))
+    m = su2_rotations(angles, axes)
+    dev = max(float(np.max(np.abs(m - np.eye(2)))), float(np.max(np.abs(angles))))
     return _result("collinear-identity", dev, 1e-12)
 
 

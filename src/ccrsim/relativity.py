@@ -17,6 +17,10 @@ half-angle form,
 
 up to one common positive factor, so f/2 is the atan2 of the pair.  It is
 represented on spin-1/2 as D = cos(f/2) I + i sin(f/2) (sigma . n_hat).
+The cosine term is evaluated as cosh((w - a)/2) + sinh(w/2) sinh(a/2)
+(1 + e . p_hat), with 1 + e . p_hat = |e x p_hat|^2 / (1 - e . p_hat) where
+e . p_hat < 0 and e x p in long double, so nothing cancels near e . p_hat = -1.
+``_wigner_angles_axes`` evaluates it over arrays for every physical route.
 When e is perpendicular to p_hat the rotation angle reduces to
 
     tan f = sinh w sinh a / (cosh w + cosh a).
@@ -196,16 +200,22 @@ def boost_matrix(boost: BoostSpec) -> np.ndarray:
     return _pure_boost(boost.direction, boost.rapidity)
 
 
+def _cross(e, p) -> np.ndarray:
+    # e x p of (..., 3) vectors, broadcast, in long double (extended precision
+    # on x86-64): near (anti-)collinear vectors its differences of products
+    # cancel most of their digits.
+    e, p = (np.asarray(v, dtype=np.longdouble) for v in (e, p))
+    i, j = [1, 2, 0], [2, 0, 1]
+    return e[..., i] * p[..., j] - e[..., j] * p[..., i]
+
+
 def _boosted_momenta(boost: BoostSpec, masses: np.ndarray, momenta: np.ndarray) -> np.ndarray:
     # Spatial momenta (N, 3) of masses (N,) after the boost (see the module
-    # doc).  |e x p| cancels for near-(anti-)collinear p, and wherever the boost
-    # reverses p along e its rounding error reaches p' in full, so the cross
-    # products are formed in long double (extended precision on x86-64).
+    # doc).  Wherever the boost reverses p along e the rounding error of
+    # |e x p| reaches p' in full, so it is formed in long double.
     e = boost.direction
     half = 0.5 * boost.rapidity
-    ex, ey, ez = e.tolist()
-    e_cross = np.array([[0.0, -ez, ey], [ez, 0.0, -ex], [-ey, ex, 0.0]], dtype=np.longdouble)
-    perp = momenta @ e_cross.T  # e x p
+    perp = _cross(e, momenta)
     m_t = np.hypot(masses, np.sqrt(np.sum(perp * perp, axis=-1)).astype(float))
     y = np.arcsinh((momenta @ e) / m_t)
     return momenta + (2.0 * math.sinh(half)) * (m_t * np.cosh(y + half))[:, None] * e
@@ -301,14 +311,6 @@ class WignerRotation:
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def identity(cls) -> "WignerRotation":
-        return cls(0.0, _DEFAULT_AXIS)
-
-    @classmethod
-    def from_angle_axis(cls, angle: float, axis) -> "WignerRotation":
-        return cls(angle, axis)
-
 
 def _su2_from_angle_axis(angle, axis: np.ndarray) -> np.ndarray:
     # cos(a/2) I + i sin(a/2) (sigma . n), entry by entry so that angles of
@@ -349,34 +351,32 @@ def su2_rotations(angle, axis) -> np.ndarray:
     return m
 
 
-def _wigner_angle_axis(
-    boost: BoostSpec, mass: float, p_vec: np.ndarray
-) -> tuple[float, np.ndarray]:
-    # Angle and unit axis of the half-angle closed form for one mode of the
-    # given mass and spatial momentum.  atan2 reads the angle from the
-    # unnormalised pair; the normalisation it would need cancels badly near
-    # e . p_hat = -1 and is never formed.
-    p_mag = float(np.linalg.norm(p_vec))
-    if p_mag <= 1e-14 * mass or boost.rapidity == 0.0:
-        return 0.0, _DEFAULT_AXIS
-    p_hat = p_vec / p_mag
-    e_hat = boost.direction
-    # e x p_hat, component by component: np.cross costs ~20x more on one
-    # pair of 3-vectors and rounds the same products and differences.
-    (ex, ey, ez), (px, py, pz) = e_hat.tolist(), p_hat.tolist()
-    cross = (ey * pz - ez * py, ez * px - ex * pz, ex * py - ey * px)
-    scale = max(abs(c) for c in cross)
-    if scale == 0.0:
-        return 0.0, _DEFAULT_AXIS
-    # Rescale before normalising: |e x p_hat| may be subnormal, with too few
-    # digits left to divide by.
-    axis = np.array(cross) / scale
-    norm = math.hypot(*axis)
-    w = boost.rapidity
-    a = math.asinh(math.hypot(*p_vec.tolist()) / mass)  # momentum_rapidity
-    sh_sh = math.sinh(w / 2.0) * math.sinh(a / 2.0)
-    cos_half = math.cosh(w / 2.0) * math.cosh(a / 2.0) + sh_sh * float(e_hat @ p_hat)
-    return 2.0 * math.atan2(sh_sh * scale * norm, cos_half), axis / norm
+def _wigner_angles_axes(rapidity, direction, mass, momentum) -> tuple[np.ndarray, np.ndarray]:
+    # Angles (...) and unit axes (..., 3) of the half-angle closed form (see
+    # the module doc) for boosts of rapidities (...) along unit directions
+    # (..., 3) acting on modes of masses (...) and spatial momenta (..., 3);
+    # the four broadcast.  A mode at rest, a zero rapidity and an exactly
+    # collinear mode give angle 0 about the z-axis.
+    w = np.asarray(rapidity, dtype=float)
+    e = np.asarray(direction, dtype=float)
+    p = np.asarray(momentum, dtype=float)
+    p_mag = _norms(p)
+    cross = _cross(e, p)
+    cross_mag = np.sqrt(np.sum(cross * cross, axis=-1))
+    moving = (p_mag > 1e-14 * mass) & (w != 0.0) & (cross_mag > 0.0)
+    p_mag_or_1 = np.where(moving, p_mag, 1.0)
+    axes = cross / np.where(moving, cross_mag, 1.0)[..., None]
+    sin_mag = (cross_mag / p_mag_or_1).astype(float)  # |e x p_hat|
+    dot = np.sum(e * p, axis=-1) / p_mag_or_1  # e . p_hat
+    # 1 + e . p_hat, without cancellation near e . p_hat = -1.
+    one_plus_dot = np.where(dot < 0.0, sin_mag**2 / (1.0 - np.minimum(dot, 0.0)), 1.0 + dot)
+    half_w, half_a = 0.5 * w, 0.5 * np.arcsinh(p_mag / mass)  # momentum_rapidity
+    sh_sh = np.sinh(half_w) * np.sinh(half_a)
+    # cosh(w/2) cosh(a/2) + sh_sh (e . p_hat), the same sum without its cancellation.
+    cos_half = np.cosh(half_w - half_a) + sh_sh * one_plus_dot
+    angles = 2.0 * np.arctan2(sh_sh * sin_mag, cos_half)
+    axes = np.where(moving[..., None], axes.astype(float), _DEFAULT_AXIS)
+    return np.where(moving, angles, 0.0), axes
 
 
 def wigner_rotation(boost: BoostSpec, p: FourMomentum) -> WignerRotation:
@@ -385,4 +385,4 @@ def wigner_rotation(boost: BoostSpec, p: FourMomentum) -> WignerRotation:
     A particle at rest (or a trivial boost) yields the identity with angle 0;
     when the angle vanishes the reported axis is the (never used) z-axis.
     """
-    return WignerRotation(*_wigner_angle_axis(boost, p.mass, p.spatial))
+    return WignerRotation(*_wigner_angles_axes(boost.rapidity, boost.direction, p.mass, p.spatial))

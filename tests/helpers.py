@@ -9,10 +9,10 @@ Conventions match the scenario builders: each particle carries a two-mode
 momentum factor ordered (+p y-hat, -p y-hat) and a spin-1/2 factor, with the
 tensor order (momentum_A, spin_A, momentum_B, spin_B).
 
-The check-suite section holds the per-draw forms of the random-boost and
-multi-index suites of ``ccrsim check``, the references for their batched
-forms: one state object, one boost and one reduction per draw, in the same
-rng order.
+The check-suite section holds the per-draw forms of the random-boost,
+Wigner and multi-index suites of ``ccrsim check``, the references for their
+batched forms: one state object, one boost, one ``wigner_rotation`` and one
+reduction per draw, in the same rng order.
 
 The sweep-record section at the end is the reference for the streamed CSV
 writer: it expands ``run_sweep`` blocks into one record per row, sums
@@ -316,36 +316,64 @@ def same_up_to_global_phase(u, v, tol=1e-10):
     return bool(np.max(np.abs(u - phase * v)) <= tol)
 
 
-def wigner_angle_mp(boost, p, digits=60):
+def _wigner_mp(boost, p, normalise_direction):
+    """Angle and unit axis (None at angle 0) of the half-angle form, in mpmath."""
+    import mpmath
+
+    mpf = mpmath.mpf
+    e = [mpf(float(x)) for x in boost.direction]
+    if normalise_direction:
+        e_mag = mpmath.sqrt(sum(x * x for x in e))
+        e = [x / e_mag for x in e]
+    k = [mpf(p.px), mpf(p.py), mpf(p.pz)]
+    k_mag = mpmath.sqrt(sum(x * x for x in k))
+    mass = mpf(p.mass)
+    k_hat = [x / k_mag for x in k]
+    dot = sum(x * y for x, y in zip(e, k_hat))
+    cross = (
+        e[1] * k_hat[2] - e[2] * k_hat[1],
+        e[2] * k_hat[0] - e[0] * k_hat[2],
+        e[0] * k_hat[1] - e[1] * k_hat[0],
+    )
+    half_w = mpf(boost.rapidity) / 2
+    half_a = mpmath.asinh(k_mag / mass) / 2
+    sh_sh = mpmath.sinh(half_w) * mpmath.sinh(half_a)
+    cos_half = mpmath.cosh(half_w) * mpmath.cosh(half_a) + sh_sh * dot
+    cross_mag = mpmath.sqrt(sum(x * x for x in cross))
+    axis = [x / cross_mag for x in cross] if cross_mag else None
+    return 2 * mpmath.atan2(sh_sh * cross_mag, cos_half), axis
+
+
+def wigner_angle_mp(boost, p, digits=60, normalise_direction=False):
     """Half-angle Wigner angle evaluated with mpmath at ``digits`` digits.
 
     The inputs are the floats the library carries: the boost rapidity and
     direction, and the mass and spatial momentum of ``p``, all taken as
     exact.  The angle is
     2 atan2(sh(w/2) sh(a/2) |e x p_hat|, ch(w/2) ch(a/2) + sh(w/2) sh(a/2) e . p_hat)
-    with a = asinh(|p|/m).
+    with a = asinh(|p|/m).  With ``normalise_direction`` the boost direction
+    is first scaled to unit length at full precision, as ``BoostSpec``
+    promises; without it the float direction is taken literally.
     """
     import mpmath
 
     with mpmath.workdps(digits):
-        mpf = mpmath.mpf
-        e = [mpf(float(x)) for x in boost.direction]
-        k = [mpf(p.px), mpf(p.py), mpf(p.pz)]
-        k_mag = mpmath.sqrt(sum(x * x for x in k))
-        mass = mpf(p.mass)
-        k_hat = [x / k_mag for x in k]
-        dot = sum(x * y for x, y in zip(e, k_hat))
-        cross = (
-            e[1] * k_hat[2] - e[2] * k_hat[1],
-            e[2] * k_hat[0] - e[0] * k_hat[2],
-            e[0] * k_hat[1] - e[1] * k_hat[0],
-        )
-        half_w = mpf(boost.rapidity) / 2
-        half_a = mpmath.asinh(k_mag / mass) / 2
-        sh_sh = mpmath.sinh(half_w) * mpmath.sinh(half_a)
-        cos_half = mpmath.cosh(half_w) * mpmath.cosh(half_a) + sh_sh * dot
-        sin_half = sh_sh * mpmath.sqrt(sum(x * x for x in cross))
-        return float(2 * mpmath.atan2(sin_half, cos_half))
+        return float(_wigner_mp(boost, p, normalise_direction)[0])
+
+
+def wigner_matrix_mp(boost, p, digits=60):
+    """Spin-1/2 matrix cos(f/2) I + i sin(f/2) (sigma . n) of the mpmath angle and axis."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        angle, axis = _wigner_mp(boost, p, False)
+        c, s = mpmath.cos(angle / 2), mpmath.sin(angle / 2)
+        nx, ny, nz = axis if axis is not None else (0, 0, 1)
+        entries = [
+            [c + 1j * s * nz, s * ny + 1j * s * nx],
+            [-s * ny + 1j * s * nx, c - 1j * s * nz],
+        ]
+        return np.array([[complex(x) for x in row] for row in entries])
 
 
 def boosted_momentum_mp(boost, mass, p_vec, digits=60):
@@ -377,19 +405,70 @@ def boosted_momentum_mp(boost, mass, p_vec, digits=60):
 def apply_boost_loop(state, boost):
     """Amplitudes of ``apply_boost``, one ``su2_rotations`` call per particle.
 
-    Each particle's stack is built from the per-mode closed form
-    ``_wigner_angle_axis``, the way ``apply_boost`` built it before the
-    batched ``physical_stacks``.
+    Each particle's stack is built mode by mode, calling the closed form
+    ``_wigner_angles_axes`` on one element at a time.
     """
     from ccrsim.linalg import apply_controlled
-    from ccrsim.relativity import _wigner_angle_axis, su2_rotations
+    from ccrsim.relativity import _wigner_angles_axes, su2_rotations
 
     stacks = []
     for particle in state.particles:
         modes = zip(particle.masses, particle.momenta)
-        angles, axes = zip(*(_wigner_angle_axis(boost, m, p) for m, p in modes))
+        angles, axes = zip(
+            *(_wigner_angles_axes(boost.rapidity, boost.direction, m, p) for m, p in modes)
+        )
         stacks.append(su2_rotations(np.array(angles), np.array(axes)))
     return apply_controlled(state.vector, state.dims, stacks)
+
+
+def wigner_su2_loop(rng):
+    """Max deviation of ``wigner-su2``, one ``wigner_rotation`` per draw."""
+    from ccrsim.checks import _random_boost, _random_momentum
+    from ccrsim.relativity import wigner_rotation
+
+    dev = 0.0
+    for _ in range(100):
+        w = wigner_rotation(_random_boost(rng), _random_momentum(rng))
+        m = w.matrix
+        dev = max(dev, float(np.max(np.abs(m @ m.conj().T - np.eye(2)))))
+        dev = max(dev, abs(complex(np.linalg.det(m)) - 1.0))
+    return dev
+
+
+def wigner_oracle_agreement_loop(rng):
+    """Max deviation of ``wigner-oracle-agreement``, one ``wigner_rotation`` per draw."""
+    from ccrsim.checks import _random_boost, _random_momentum
+    from ccrsim.relativity import rotation_angle, wigner_oracle, wigner_rotation
+
+    dev = 0.0
+    for _ in range(100):
+        boost = _random_boost(rng)
+        p = _random_momentum(rng)
+        w = wigner_oracle(boost, p)
+        dev = max(dev, abs(rotation_angle(w) - wigner_rotation(boost, p).angle))
+        k = np.array([p.mass, 0.0, 0.0, 0.0])
+        dev = max(dev, float(np.max(np.abs(w @ k - k))))
+        r = w[1:, 1:]
+        dev = max(dev, float(np.max(np.abs(r @ r.T - np.eye(3)))))
+    return dev
+
+
+def collinear_identity_loop(rng):
+    """Max deviation of ``collinear-identity``, one ``wigner_rotation`` per draw."""
+    from ccrsim.checks import _random_unit3
+    from ccrsim.relativity import BoostSpec, FourMomentum, wigner_rotation
+
+    dev = 0.0
+    for _ in range(50):
+        direction = _random_unit3(rng)
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        p = FourMomentum.from_spatial(
+            rng.uniform(0.5, 2.0), sign * rng.uniform(0.1, 3.0) * direction
+        )
+        boost = BoostSpec(rng.uniform(0.0, 5.0), direction)
+        w = wigner_rotation(boost, p)
+        dev = max(dev, float(np.max(np.abs(w.matrix - np.eye(2)))), abs(w.angle))
+    return dev
 
 
 def boost_purity_loop(rng):

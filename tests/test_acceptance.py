@@ -16,7 +16,6 @@ from ccrsim import (
     MOMENTUM,
     SPIN,
     ScenarioId,
-    StateVector,
     apply_boost,
     boost_by_wigner_angle,
     boost_direction,
@@ -37,32 +36,12 @@ from ccrsim import (
     wigner_rotation,
 )
 from ccrsim import cli
+from ccrsim.checks import _random_momentum, _random_spin_pair, _random_state, _random_unit3
 import helpers
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 PHI_GRID = tuple(float(x) for x in np.linspace(0.0, math.pi / 2, 65))
 SQ2 = math.sqrt(2.0)
-
-
-def _random_unit3(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def _random_momentum(rng):
-    mass = float(rng.uniform(0.5, 2.0))
-    return FourMomentum.from_spatial(mass, rng.uniform(0.0, 3.0) * _random_unit3(rng))
-
-
-def _random_spin(rng):
-    s = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return s / np.linalg.norm(s)
-
-
-def _random_pure(rng, dims):
-    n = int(np.prod(dims))
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return StateVector(tuple(dims), v / np.linalg.norm(v))
 
 
 def test_criterion_1_ccr_identity_on_full_grid():
@@ -103,7 +82,7 @@ def test_criterion_3_single_momentum_products_stay_separable():
     worst = 0.0
     for _ in range(500):
         state = make_product_state(
-            momenta=[[("k", _random_momentum(rng), 1.0)]], spins=[_random_spin(rng)]
+            momenta=[[("k", _random_momentum(rng), 1.0)]], spins=[_random_spin_pair(rng)]
         )
         boost = BoostSpec(float(rng.uniform(0.0, 5.0)), _random_unit3(rng))
         boosted = apply_boost(state, boost)
@@ -267,7 +246,7 @@ def test_criterion_7_multiindex_entropy_equals_reduced_route():
     worst = 0.0
     for dims in ((2, 2, 2), (2, 2, 2, 2)):
         for _ in range(100):
-            psi = _random_pure(rng, dims)
+            psi = _random_state(rng, dims)
             for k in range(len(dims)):
                 direct = linear_entropy_multiindex(psi, k)
                 reduced = 1.0 - purity(partial_trace(outer(psi), {k}))

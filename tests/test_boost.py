@@ -6,6 +6,7 @@ the momentum-controlled little-group action; the physical-parameter route
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ccrsim import (
     MOMENTUM,
     SPIN,
     ScenarioId,
+    StateVector,
     apply_boost,
     boost_by_wigner_angle,
     boost_direction,
@@ -149,6 +151,22 @@ def test_boost_collision_after_light_cone_contraction():
     )
     with pytest.raises(LabelCollision):
         apply_boost(state, BoostSpec(5.0, np.array([1.0, 0.0, 0.0])))
+
+
+def test_boost_of_momenta_beyond_the_range_of_their_squares():
+    # |p| = 1e200 squares past float64.  Mode a (+y) rotates its spin about
+    # +z, mode b (-y) about -z, so the phase between their spin-up
+    # amplitudes is the rotation angle f; with e perpendicular to p and
+    # cosh a >> cosh w, tan f = sinh w sinh a / (cosh w + cosh a) is sinh w.
+    particle = states.Particle(("a", "b"), [1.0, 1.0], [[0.0, 1e200, 0.0], [0.0, -1e200, 0.0]])
+    amps = StateVector((2, 2), np.array([1.0, 0.0, 1.0, 0.0]) / SQ2)
+    state = states.MultipartiteState((particle,), amps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_boost(state, BoostSpec(1.0, np.array([1.0, 0.0, 0.0])))
+    assert np.array_equal(out.particles[0].masses, [1.0, 1.0])
+    up_a, up_b = out.vector[0], out.vector[2]
+    assert abs(np.angle(up_a / up_b) - math.atan(math.sinh(1.0))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@
 * ``linear_entropy_multiindex`` against its loop form in ``helpers``;
 * the two xi2 check suites against per-cell boosts and reductions;
 * ``physical_stacks`` and ``apply_boost`` against the per-mode stack build,
-  and the three random-draw check suites against their per-draw forms in
+  and the six random-draw check suites against their per-draw forms in
   ``helpers``;
-* ``_wigner_angle_axis`` against the same formula written with ``np.cross``.
+* the array closed form ``_wigner_angles_axes`` against mpmath.
 """
 
 import itertools
@@ -36,12 +36,7 @@ from ccrsim import (
 from ccrsim import checks, linalg, measures, sweep
 from ccrsim.boost import physical_stacks
 from ccrsim.linalg import reduce_factor
-from ccrsim.relativity import (
-    _DEFAULT_AXIS,
-    _wigner_angle_axis,
-    momentum_rapidity,
-    su2_rotations,
-)
+from ccrsim.relativity import _wigner_angles_axes, su2_rotations
 
 import helpers
 
@@ -259,7 +254,9 @@ def test_physical_stacks_equal_the_per_mode_build_bit_for_bit():
         assert stacks.shape == (n_boosts, n_modes, 2, 2)
         for b, (boost, row) in enumerate(zip(boosts, momenta)):
             for m, p in enumerate(row):
-                one = su2_rotations(*_wigner_angle_axis(boost, p.mass, p.spatial))
+                one = su2_rotations(
+                    *_wigner_angles_axes(boost.rapidity, boost.direction, p.mass, p.spatial)
+                )
                 assert np.array_equal(stacks[b, m], one)
 
 
@@ -303,6 +300,9 @@ def test_apply_boost_amplitudes_equal_the_per_particle_loop(mode_counts):
         (checks._check_boost_purity, helpers.boost_purity_loop),
         (checks._check_single_momentum_separability, helpers.single_momentum_separability_loop),
         (checks._check_entropy_multiindex, helpers.entropy_multiindex_loop),
+        (checks._check_wigner_su2, helpers.wigner_su2_loop),
+        (checks._check_collinear_identity, helpers.collinear_identity_loop),
+        (checks._check_wigner_oracle_agreement, helpers.wigner_oracle_agreement_loop),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 7, 11, 1905, 20261020])
@@ -316,32 +316,14 @@ def test_batched_check_suites_match_their_per_draw_forms(suite, loop, seed):
 
 
 # ---------------------------------------------------------------------------
-# Wigner angle and axis without np.cross
+# the array closed form against mpmath
 # ---------------------------------------------------------------------------
 
 
-def wigner_angle_axis_np_cross(boost, p):
-    """The closed form with the cross product taken by ``np.cross``."""
-    p_vec = p.spatial
-    p_mag = float(np.linalg.norm(p_vec))
-    if p_mag <= 1e-14 * p.e or boost.rapidity == 0.0:
-        return 0.0, _DEFAULT_AXIS
-    p_hat = p_vec / p_mag
-    e_hat = boost.direction
-    cross = np.cross(e_hat, p_hat)
-    scale = float(np.abs(cross).max())
-    if scale == 0.0:
-        return 0.0, _DEFAULT_AXIS
-    axis = cross / scale
-    norm = math.hypot(*axis)
-    w, a = boost.rapidity, momentum_rapidity(p)
-    sh_sh = math.sinh(w / 2.0) * math.sinh(a / 2.0)
-    cos_half = math.cosh(w / 2.0) * math.cosh(a / 2.0) + sh_sh * float(e_hat @ p_hat)
-    return 2.0 * math.atan2(sh_sh * scale * norm, cos_half), axis / norm
-
-
-def test_wigner_angle_axis_equals_np_cross_reference_bit_for_bit():
+def test_wigner_angles_axes_match_mpmath_angle_and_matrix():
+    pytest.importorskip("mpmath")
     rng = np.random.default_rng(2007)
+    boosts, momenta = [], []
     for n in range(3000):
         e = rng.normal(size=3)
         e /= np.linalg.norm(e)
@@ -349,9 +331,15 @@ def test_wigner_angle_axis_equals_np_cross_reference_bit_for_bit():
             p_vec = e * rng.uniform(-3.0, 3.0) + rng.normal(size=3) * 10 ** rng.uniform(-12, -1)
         else:
             p_vec = rng.normal(size=3) * rng.uniform(0.01, 3.0)
-        boost = BoostSpec(rng.uniform(0.0, 50.0), e)
-        p = FourMomentum.from_spatial(rng.uniform(0.5, 2.0), p_vec)
-        angle, axis = _wigner_angle_axis(boost, p.mass, p.spatial)
-        ref_angle, ref_axis = wigner_angle_axis_np_cross(boost, p)
-        assert angle == ref_angle
-        assert np.array_equal(axis, ref_axis)
+        boosts.append(BoostSpec(rng.uniform(0.0, 50.0), e))
+        momenta.append(FourMomentum.from_spatial(rng.uniform(0.5, 2.0), p_vec))
+    angles, axes = _wigner_angles_axes(
+        np.array([b.rapidity for b in boosts]),
+        np.array([b.direction for b in boosts]),
+        np.array([p.mass for p in momenta]),
+        np.array([p.spatial for p in momenta]),
+    )
+    matrices = su2_rotations(angles, axes)
+    for boost, p, angle, matrix in zip(boosts, momenta, angles, matrices):
+        assert abs(angle - helpers.wigner_angle_mp(boost, p)) <= 1e-12
+        assert np.max(np.abs(matrix - helpers.wigner_matrix_mp(boost, p))) <= 1e-12

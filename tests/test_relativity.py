@@ -288,10 +288,10 @@ def test_wigner_rotation_real_for_z_axis():
 
 def test_wigner_rotation_from_angle_axis_validates():
     with pytest.raises(Exception):
-        WignerRotation.from_angle_axis(0.3, np.array([1.0, 1.0, 0.0]))
-    w = WignerRotation.from_angle_axis(0.3, np.array([0.0, 0.0, 1.0]))
+        WignerRotation(0.3, np.array([1.0, 1.0, 0.0]))
+    w = WignerRotation(0.3, np.array([0.0, 0.0, 1.0]))
     assert abs(w.angle - 0.3) < 1e-15
-    ident = WignerRotation.identity()
+    ident = WignerRotation(0.0, np.array([0.0, 0.0, 1.0]))
     assert np.array_equal(ident.matrix, np.eye(2))
 
 
@@ -344,7 +344,7 @@ def test_su2_rotations_batch_matches_from_angle_axis():
     assert stack.shape == (3, 4, 2, 2)
     for i in range(3):
         for j in range(4):
-            one = WignerRotation.from_angle_axis(angles[i, j], axes[i, j]).matrix
+            one = WignerRotation(angles[i, j], axes[i, j]).matrix
             np.testing.assert_allclose(stack[i, j], one, rtol=0, atol=1e-15)
     axes[1, 2] *= 1.001
     with pytest.raises(BadPhysicalParams):

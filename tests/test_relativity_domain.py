@@ -5,12 +5,15 @@ directions that are generic, near-collinear or near-anti-collinear with the
 boost (1 - |e . p_hat| from 1e-12 to 1e-1).  Every draw must give an SU(2)
 matrix within 1e-12 and an angle within 1e-11 of a 60-digit mpmath
 evaluation, for |p|/m in [1e-6, 1e4] in every geometry and up to 1e8 in the
-generic and near-collinear ones.  Near-anti-collinear angles above
-|p|/m = 1e4 are less accurate (about 3e-10, see the README) and are not
-asserted.  ``apply_boost`` must refuse no draw with |p|/m up to 1e8, under
-two boosts in a row, keep every mass bit for bit, and put every momentum
-within 1e-10 max(|p|, |p'|, m) of mpmath.  Masses and momenta are carried
-exactly from ``FourMomentum.from_spatial``; no mass is recomputed from E.
+generic and near-collinear ones.  Near-anti-collinear angles up to
+|p|/m = 1e8 are asserted within 1e-11 of an evaluation whose boost
+direction is normalised at full precision, as ``BoostSpec`` promises: there
+the ~1e-16 norm defect of a float unit vector is amplified by
+sinh(w/2) sinh(a/2) (see the README).  ``apply_boost`` must refuse no draw
+with |p|/m up to 1e8, under two boosts in a row, keep every mass bit for
+bit, and put every momentum within 1e-10 max(|p|, |p'|, m) of mpmath.
+Masses and momenta are carried exactly from ``FourMomentum.from_spatial``;
+no mass is recomputed from E.
 """
 
 import math
@@ -97,6 +100,29 @@ def test_wigner_rotation_up_to_extreme_momentum_ratios(rapidity, log_ratio, mass
     p = FourMomentum.from_spatial(mass, mass * 10.0**log_ratio * p_hat)
     assert p.mass == mass
     assert abs(wigner_rotation(boost, p).angle - helpers.wigner_angle_mp(boost, p)) <= 1e-11
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+@hypothesis.given(
+    rapidity=st.floats(min_value=0.0, max_value=RAPIDITY_CAP),
+    log_ratio=st.floats(min_value=-6.0, max_value=8.0),
+    mass=st.floats(min_value=0.5, max_value=2.0),
+    geometry=_geometry(kinds=("anti-collinear",)),
+)
+@hypothesis.example(
+    rapidity=50.0, log_ratio=8.0, mass=1.7, geometry=(_E_HAT, -_tilted(_E_HAT, 1e-12))
+)
+@hypothesis.example(
+    rapidity=34.3, log_ratio=6.1, mass=1.0, geometry=(_E_HAT, -_tilted(_E_HAT, 1.2e-12))
+)
+def test_wigner_rotation_near_anti_collinear_up_to_extreme_momentum_ratios(
+    rapidity, log_ratio, mass, geometry
+):
+    e_hat, p_hat = geometry
+    boost = BoostSpec(rapidity, e_hat)
+    p = FourMomentum.from_spatial(mass, mass * 10.0**log_ratio * p_hat)
+    exact = helpers.wigner_angle_mp(boost, p, normalise_direction=True)
+    assert abs(wigner_rotation(boost, p).angle - exact) <= 1e-11
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
